@@ -15,6 +15,8 @@
 #include <sstream>
 #include <string>
 
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "pablo/sddf.hpp"
 #include "testkit/golden.hpp"
 #include "test_configs.hpp"  // golden_* configs
@@ -34,13 +36,39 @@ GoldenStore& store() {
 
 namespace {
 
-std::uint64_t hash_sddf(const pablo::Trace& trace) {
-  std::ostringstream out;
-  pablo::write_trace(out, trace);
-  const std::string text = out.str();
+std::uint64_t hash_text(const std::string& text) {
   Fnv64 h;
   h.bytes(text.data(), text.size());
   return h.value();
+}
+
+std::uint64_t hash_sddf(const pablo::Trace& trace) {
+  std::ostringstream out;
+  pablo::write_trace(out, trace);
+  return hash_text(out.str());
+}
+
+/// Pins the metrics dump of an observed run (registry + tracer + a 5 s
+/// sampler): every counter, gauge, histogram and sample the layers publish.
+void check_metrics_digest(const std::string& key_prefix,
+                          core::ExperimentConfig config) {
+  obs::Registry registry;
+  obs::Tracer tracer;
+  config.hooks.metrics = &registry;
+  config.hooks.tracer = &tracer;
+  config.hooks.sample_period = 5.0;
+  const core::ExperimentResult result = core::run_experiment(config);
+  ASSERT_GT(result.trace.size(), 0u);
+  const auto error = store().check(key_prefix + ".metrics",
+                                   hash_hex(hash_text(registry.dump_text())));
+  EXPECT_FALSE(error.has_value()) << *error;
+}
+
+core::ExperimentConfig golden_escat_ppfs() {
+  core::ExperimentConfig cfg = golden_experiment(golden_escat());
+  cfg.filesystem =
+      core::FsChoice::ppfs(ppfs::PpfsParams::write_behind_aggregation());
+  return cfg;
 }
 
 void check_digests(const std::string& key_prefix,
@@ -104,6 +132,30 @@ TEST(GoldenTrace, EmptyFaultPlanLeavesDigestsByteIdentical) {
     n.config.attach_fault_layer = true;  // empty plan, injector attached
     check_digests(n.key, n.config);
   }
+}
+
+// Metrics dumps of the golden configurations, fully observed.  These pin
+// every published series name, value and sample, so a change to how the
+// layers count (or to how the registry reads them) shows up here.
+TEST(GoldenMetrics, PaperApplicationsOnPfs) {
+  check_metrics_digest("escat.pfs.n8", golden_experiment(golden_escat()));
+  check_metrics_digest("render.pfs.n9", golden_experiment(golden_render()));
+  check_metrics_digest("htf.pfs.n8", golden_experiment(golden_htf()));
+}
+
+TEST(GoldenMetrics, EscatOnPpfs) {
+  check_metrics_digest("escat.ppfs.n8", golden_escat_ppfs());
+}
+
+// The fault-path series: a degraded array (no repair, so no rebuild) and an
+// ION crash/restart during the final write-behind flush, which drives
+// refusals and retries.
+TEST(GoldenMetrics, EscatOnPpfsUnderFaults) {
+  core::ExperimentConfig cfg = golden_escat_ppfs();
+  cfg.fault_plan.add({5.0, fault::FaultKind::kDiskFail, 0, 1, 0.0});
+  cfg.fault_plan.add({33.0, fault::FaultKind::kIonCrash, 1, 0, 0.0});
+  cfg.fault_plan.add({33.5, fault::FaultKind::kIonRestart, 1, 0, 0.0});
+  check_metrics_digest("escat.ppfs.n8.faults", cfg);
 }
 
 // Differential: the golden configurations rerun must reproduce the exact
