@@ -7,13 +7,13 @@
 #               excluded), with the checked-in SARIF baseline applied and
 #               docs/LINTING.md checked against the compiled-in catalog;
 #               any unsuppressed finding — or stale baseline entry — fails
-#               CI.
+#               CI.  Leaves build/paraio_lint.sarif and the cross-LP
+#               report as artifacts.
 #   2. build  — the tier-1 verification (build + full test suite) in a plain
 #               build, warnings promoted to errors.
 #   3. verify — the concurrency-verification layer on its own: the
-#               schedule-perturbation checker over the golden suite, the
-#               deadlock-detector tests, and a tree-wide lint run that
-#               leaves a SARIF artifact (build/paraio_lint.sarif).
+#               schedule-perturbation checker over the golden suite and
+#               the deadlock-detector tests.
 #   4. obs    — paraio_stat on a small ESCAT run: the report must mention
 #               the key signals and the emitted Chrome trace must be valid
 #               JSON (paraio_stat revalidates it before writing and exits
@@ -68,9 +68,19 @@ mkdir -p "${lint_dir}"
 # graph + summary fixpoint) are linear-ish in practice (~0.2 s for the
 # whole tree today), so a 120 s ceiling only trips on a real blowup
 # (e.g. a non-converging fixpoint).  --stats records the per-pass cost.
+# This is the only tree-wide run; it also leaves the SARIF log and the
+# ranked cross-LP shared-state audit as artifacts for a reviewer, even when
+# nothing fires.
+mkdir -p build
 timeout 120 "${lint_dir}/paraio_lint" --werror --stats \
+  --sarif=build/paraio_lint.sarif \
+  --lp-report=build/paraio_lint_cross_lp.txt \
   --baseline=tools/paraio_lint/baseline.sarif --exclude=fixtures \
   src bench examples tools tests
+test -s build/paraio_lint.sarif
+grep -q '"version":"2.1.0"' build/paraio_lint.sarif
+test -s build/paraio_lint_cross_lp.txt
+grep -q 'cross-LP shared-state audit' build/paraio_lint_cross_lp.txt
 
 run_stage build -DPARAIO_WERROR=ON
 
@@ -82,19 +92,6 @@ run_stage build -DPARAIO_WERROR=ON
 echo "== verify: schedule perturbation + deadlock detection =="
 ctest --test-dir build --output-on-failure -j "${jobs}" \
   -R 'Perturb|DeadlockDetector|TieBreak'
-
-echo "== verify: tree-wide lint with SARIF + cross-LP report artifacts =="
-timeout 120 "${lint_dir}/paraio_lint" --werror --stats \
-  --sarif=build/paraio_lint.sarif \
-  --lp-report=build/paraio_lint_cross_lp.txt \
-  --baseline=tools/paraio_lint/baseline.sarif --exclude=fixtures \
-  src bench examples tools tests
-test -s build/paraio_lint.sarif
-grep -q '"version":"2.1.0"' build/paraio_lint.sarif
-# The ranked shared-state audit ships alongside the SARIF log so a reviewer
-# can see the parallel-DES-readiness picture even when nothing fires.
-test -s build/paraio_lint_cross_lp.txt
-grep -q 'cross-LP shared-state audit' build/paraio_lint_cross_lp.txt
 
 # --- fault stage -----------------------------------------------------------
 # Fault injection & recovery (docs/FAULTS.md): mid-run disk failure with the

@@ -27,21 +27,15 @@ WriteAbsorber::WriteAbsorber(ppfs::Ppfs& fs, AbsorberParams params)
 void WriteAbsorber::attach_observability(obs::Registry* registry,
                                          obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (registry == nullptr) {
-    m_acked_ = nullptr;
-    m_drained_ = nullptr;
-    m_lost_ = nullptr;
-    m_backpressure_ = nullptr;
-    m_commits_ = nullptr;
-    m_resident_ = nullptr;
-    return;
-  }
-  m_acked_ = &registry->counter("ckpt.log.acked_bytes");
-  m_drained_ = &registry->counter("ckpt.log.drained_bytes");
-  m_lost_ = &registry->counter("ckpt.log.lost_bytes");
-  m_backpressure_ = &registry->counter("ckpt.log.backpressure_waits");
-  m_commits_ = &registry->counter("ckpt.log.commits");
-  m_resident_ = &registry->gauge("ckpt.log.resident_bytes");
+  if (registry == nullptr) return;
+  registry->bind("ckpt.log.acked_bytes", stats_.acked_bytes);
+  registry->bind("ckpt.log.drained_bytes", stats_.drained_bytes);
+  registry->bind("ckpt.log.lost_bytes", stats_.dirty_bytes_lost);
+  registry->bind("ckpt.log.backpressure_waits", stats_.backpressure_waits);
+  registry->bind("ckpt.log.commits", stats_.commits);
+  registry->bind_gauge("ckpt.log.resident_bytes", [this] {
+    return static_cast<double>(stats_.log_resident_bytes);
+  });
 }
 
 sim::Task<> WriteAbsorber::append(std::uint32_t node, std::uint64_t epoch,
@@ -51,9 +45,9 @@ sim::Task<> WriteAbsorber::append(std::uint32_t node, std::uint64_t epoch,
   // Bounded log: wait for the drain to free space before absorbing more.
   // (A chunk larger than the whole capacity is admitted once the log is
   // empty — it can never fit better than that.)
-  while (resident_ > 0 && resident_ + bytes > params_.log_capacity) {
+  while (stats_.log_resident_bytes > 0 &&
+         stats_.log_resident_bytes + bytes > params_.log_capacity) {
     ++stats_.backpressure_waits;
-    if (m_backpressure_ != nullptr) m_backpressure_->add();
     if (deadlocks) {
       deadlocks->cond_wait(deadlocks->task_for_key(node, "node"), &drained_,
                            "ckpt:absorber:drained");
@@ -78,11 +72,9 @@ sim::Task<> WriteAbsorber::append(std::uint32_t node, std::uint64_t epoch,
   stats_.segments_sealed =
       static_cast<std::uint64_t>(log_.segments().size()) -
       (log_.segments().back().sealed ? 0u : 1u);
-  resident_ += bytes;
+  stats_.log_resident_bytes += bytes;
   ++stats_.appends;
   stats_.acked_bytes += bytes;
-  if (m_acked_ != nullptr) m_acked_->add(bytes);
-  if (m_resident_ != nullptr) m_resident_->set(static_cast<double>(resident_));
   queue_.push_back({node, bytes});
   pending_.set();
 }
@@ -95,7 +87,6 @@ sim::Task<std::uint64_t> WriteAbsorber::commit(std::uint64_t epoch) {
   r.digest = epoch_digest_;
   log_.push(r);
   ++stats_.commits;
-  if (m_commits_ != nullptr) m_commits_->add();
   const std::uint64_t digest = epoch_digest_;
   epoch_digest_ = kFnvOffset;
   co_return digest;
@@ -138,24 +129,19 @@ sim::Task<> WriteAbsorber::drain_daemon() {
         src, ion, kDrainBase + drain_addr_, len, /*is_write=*/true);
     drain_addr_ += len;
     if (tracer_ != nullptr) tracer_->end(span);
-    resident_ -= len;
+    stats_.log_resident_bytes -= len;
     ++stats_.drain_writes;
     if (out.ok()) {
       stats_.drained_bytes += len;
       if (out.failed_over) ++stats_.drain_failovers;
-      if (m_drained_ != nullptr) m_drained_->add(len);
     } else {
       // Recovery exhausted every path: these acknowledged bytes are gone.
       // (submit_with_recovery also books them as dirty_bytes_lost in the
       // mount's RecoveryStats.)
       stats_.dirty_bytes_lost += len;
-      if (m_lost_ != nullptr) m_lost_->add(len);
       if (tracer_ != nullptr) {
         tracer_->instant({obs::kGlobalProcess, 2}, "ckpt.drain-lost", "fault");
       }
-    }
-    if (m_resident_ != nullptr) {
-      m_resident_->set(static_cast<double>(resident_));
     }
     drained_.set();
   }

@@ -76,19 +76,14 @@ class WriteAbsorber {
   /// that epoch has been appended) and returns the epoch digest it pinned.
   [[nodiscard]] sim::Task<std::uint64_t> commit(std::uint64_t epoch);
 
-  /// Stats snapshot; `log_resident_bytes` is filled in at call time.
-  [[nodiscard]] AbsorberStats stats() const {
-    AbsorberStats s = stats_;
-    s.log_resident_bytes = resident_;
-    return s;
-  }
+  [[nodiscard]] const AbsorberStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const LogImage& log() const noexcept { return log_; }
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept {
-    return resident_;
+    return stats_.log_resident_bytes;
   }
 
   /// Publishes `ckpt.log.*` counters / the resident-bytes gauge and opens a
-  /// span per drain write on the global ckpt track.  Free when detached.
+  /// span per drain write on the global ckpt track.  Either may be null.
   void attach_observability(obs::Registry* registry, obs::Tracer* tracer);
 
  private:
@@ -103,21 +98,12 @@ class WriteAbsorber {
   AbsorberParams params_;
   LogImage log_;
   std::deque<DrainItem> queue_;
-  std::uint64_t resident_ = 0;
   std::uint64_t epoch_digest_ = kFnvOffset;  // running, reset at commit
   std::uint64_t drain_seq_ = 0;   // round-robins drain writes over the IONs
   std::uint64_t drain_addr_ = 0;  // log-structured: strictly increasing
   sim::Event pending_;   // set when the queue has work for the drain
   sim::Event drained_;   // set after each drain write frees capacity
   AbsorberStats stats_;
-
-  // Observability handles; null until attach_observability.
-  obs::Counter* m_acked_ = nullptr;
-  obs::Counter* m_drained_ = nullptr;
-  obs::Counter* m_lost_ = nullptr;
-  obs::Counter* m_backpressure_ = nullptr;
-  obs::Counter* m_commits_ = nullptr;
-  obs::Gauge* m_resident_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

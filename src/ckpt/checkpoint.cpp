@@ -38,7 +38,9 @@ CheckpointCoordinator::CheckpointCoordinator(hw::Machine& machine,
 void CheckpointCoordinator::attach_observability(obs::Registry* registry,
                                                  obs::Tracer* tracer) {
   tracer_ = tracer;
-  m_epochs_ = registry ? &registry->counter("ckpt.epochs.committed") : nullptr;
+  if (registry != nullptr) {
+    registry->bind("ckpt.epochs.committed", stats_.epochs_committed);
+  }
 }
 
 sim::Task<> CheckpointCoordinator::at_boundary(std::uint32_t node) {
@@ -115,7 +117,6 @@ sim::Task<> CheckpointCoordinator::run_epoch(std::uint32_t node,
   stats_.last_commit_time = now;
   commit_times_.push_back(now);
   stats_.checkpoint_time += now - epoch_start_;
-  if (m_epochs_ != nullptr) m_epochs_->add();
   if (tracer_ != nullptr) {
     tracer_->complete({obs::kGlobalProcess, 1},
                       "ckpt.epoch" + std::to_string(epoch), epoch_start_, now,

@@ -105,8 +105,6 @@ class CheckpointCoordinator final : public apps::CheckpointHook {
   sim::SimTime epoch_start_ = 0.0;
   std::vector<sim::SimTime> commit_times_;  // ascending, one per commit
   CheckpointStats stats_;
-
-  obs::Counter* m_epochs_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -168,13 +168,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   if (injector) result.faults_injected = injector->applied();
   for (std::size_t k = 0; k < machine.io_nodes(); ++k) {
-    const hw::RaidFaultStats& rf = machine.ion_array(k).fault_stats();
-    result.raid_faults.disk_failures += rf.disk_failures;
-    result.raid_faults.repairs += rf.repairs;
-    result.raid_faults.degraded_accesses += rf.degraded_accesses;
-    result.raid_faults.failed_accesses += rf.failed_accesses;
-    result.raid_faults.rebuild_chunks += rf.rebuild_chunks;
-    result.raid_faults.rebuild_bytes += rf.rebuild_bytes;
+    result.raid_faults += machine.ion_array(k).fault_stats();
   }
 
   if (tracer != nullptr) {
@@ -201,6 +195,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       tracer->name_track({id, 2}, "ppfs batches");
     }
   }
+  // The registry reads through to this stack, which dies on return.
+  if (metrics != nullptr) metrics->freeze();
   return result;
 }
 

@@ -61,7 +61,9 @@ using AppConfig = std::variant<apps::EscatConfig, apps::RenderConfig,
 /// them.  Attachment never consumes simulated time, so results and trace
 /// digests are bit-identical with and without.  With metrics attached and
 /// `sample_period` > 0, every gauge and counter is additionally snapshotted
-/// each `sample_period` simulated seconds (see obs::Sampler).
+/// each `sample_period` simulated seconds (see obs::Sampler).  The registry
+/// is frozen before run_experiment returns, so it stays readable after the
+/// stack it was bound to is gone.
 struct ExperimentHooks {
   sim::EngineObserver* engine = nullptr;
   pfs::IoObserver* io = nullptr;

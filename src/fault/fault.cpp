@@ -109,10 +109,14 @@ void FaultInjector::apply(const FaultEvent& event) {
       machine_.net().set_extra_delay(event.value);
       break;
   }
+  std::uint64_t& fired = fired_[static_cast<std::size_t>(event.kind)];
   if (metrics_ != nullptr) {
-    metrics_->counter("fault.injected").add();
-    metrics_->counter(std::string("fault.") + to_string(event.kind)).add();
+    if (cursor_ == 0) metrics_->bind("fault.injected", cursor_);
+    if (fired == 0) {
+      metrics_->bind(std::string("fault.") + to_string(event.kind), fired);
+    }
   }
+  ++fired;
   if (tracer_ != nullptr && tracer_->bound()) {
     const bool targets_ion = event.kind != FaultKind::kNetLoss &&
                              event.kind != FaultKind::kNetDelay;

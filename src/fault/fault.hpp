@@ -20,6 +20,7 @@
 //    unless a fault window is actually active.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -41,6 +42,8 @@ enum class FaultKind {
   kNetLoss,     ///< set interconnect message-drop probability to `value`
   kNetDelay,    ///< add `value` seconds to every transfer (0 clears)
 };
+inline constexpr std::size_t kFaultKinds =
+    static_cast<std::size_t>(FaultKind::kNetDelay) + 1;
 
 [[nodiscard]] const char* to_string(FaultKind kind);
 
@@ -106,9 +109,11 @@ struct [[nodiscard]] RecoveryStats {
 
 /// Applies a FaultPlan to a machine as simulated time passes.  Chains onto
 /// whatever engine observer is already attached (construction attaches,
-/// destruction restores), exactly like obs::Sampler.  When `metrics` /
-/// `tracer` are non-null, each applied fault bumps `fault.*` counters and
-/// drops a Chrome-trace instant marker.
+/// destruction restores), exactly like obs::Sampler.  Every applied fault
+/// is counted per kind; when `metrics` is non-null those counts publish as
+/// `fault.injected` and `fault.<kind>` from the kind's first fire (so a run
+/// lists only the kinds it saw), and a non-null `tracer` gets a
+/// Chrome-trace instant marker per fault.
 class FaultInjector final : public sim::EngineObserver {
  public:
   FaultInjector(sim::Engine& engine, hw::Machine& machine, FaultPlan plan,
@@ -140,7 +145,8 @@ class FaultInjector final : public sim::EngineObserver {
   sim::Engine& engine_;
   hw::Machine& machine_;
   FaultPlan plan_;  // sorted by `at` on construction
-  std::size_t cursor_ = 0;
+  std::uint64_t cursor_ = 0;
+  std::array<std::uint64_t, kFaultKinds> fired_{};  // applied, per kind
   sim::EngineObserver* chained_ = nullptr;
   obs::Registry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;

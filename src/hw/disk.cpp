@@ -2,6 +2,16 @@
 
 namespace paraio::hw {
 
+void DeviceStats::attach_metrics(obs::Registry& registry,
+                                 const std::string& prefix) const {
+  registry.bind(prefix + ".requests", requests);
+  registry.bind(prefix + ".bytes", bytes);
+  registry.bind(prefix + ".seeks", seeks);
+  registry.bind(prefix + ".busy_s", busy_time);
+  registry.bind(prefix + ".queue_s", queue_time);
+  registry.bind(prefix + ".qdepth", qdepth);
+}
+
 sim::SimDuration Disk::service_time(std::uint64_t offset,
                                     std::uint64_t bytes) const {
   const bool sequential = offset == head_pos_;
@@ -20,23 +30,15 @@ sim::SimDuration Disk::service_time(std::uint64_t offset,
 
 sim::Task<> Disk::access(std::uint64_t offset, std::uint64_t bytes) {
   const sim::SimTime arrival = engine_.now();
-  if (metrics_.qdepth != nullptr) metrics_.qdepth->record(gate_.waiters());
+  stats_.qdepth.record(gate_.waiters());
   co_await gate_.acquire();
-  const sim::SimDuration waited = engine_.now() - arrival;
-  stats_.queue_time += waited;
-  const bool positioned = offset != head_pos_;
+  stats_.queue_time += engine_.now() - arrival;
+  if (offset != head_pos_) ++stats_.seeks;
   const sim::SimDuration service = service_time(offset, bytes);
   head_pos_ = offset + bytes;
   ++stats_.requests;
   stats_.bytes += bytes;
   stats_.busy_time += service;
-  if (metrics_.attached()) {
-    metrics_.requests->add();
-    metrics_.bytes->add(bytes);
-    if (positioned) metrics_.seeks->add();
-    metrics_.busy_s->add(service);
-    metrics_.queue_s->add(waited);
-  }
   co_await engine_.delay(service);
   gate_.release();
 }

@@ -64,8 +64,14 @@ struct DiskParams {
 struct DeviceStats {
   std::uint64_t requests = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t seeks = 0;            // head repositions (disks and arrays)
   sim::SimDuration busy_time = 0.0;
   sim::SimDuration queue_time = 0.0;  // time requests spent waiting
+  obs::Histogram qdepth;              // queue length seen at each arrival
+
+  /// Publishes these fields as `<prefix>.{requests,bytes,seeks,busy_s,
+  /// queue_s,qdepth}`.
+  void attach_metrics(obs::Registry& registry, const std::string& prefix) const;
 };
 
 /// A single disk: one server, FIFO queue, stateful head position.
@@ -86,9 +92,9 @@ class Disk {
   [[nodiscard]] const DiskParams& params() const noexcept { return params_; }
 
   /// Publishes this disk's activity under `<prefix>.{requests,bytes,seeks,
-  /// busy_s,queue_s,qdepth}`.  Detached cost: one pointer test per access.
+  /// busy_s,queue_s,qdepth}`.
   void attach_metrics(obs::Registry& registry, const std::string& prefix) {
-    metrics_ = obs::DeviceMetrics::bind(registry, prefix);
+    stats_.attach_metrics(registry, prefix);
   }
 
  private:
@@ -97,7 +103,6 @@ class Disk {
   sim::Semaphore gate_;
   std::uint64_t head_pos_ = 0;
   DeviceStats stats_;
-  obs::DeviceMetrics metrics_;
 };
 
 }  // namespace paraio::hw

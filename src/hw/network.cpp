@@ -4,7 +4,7 @@ namespace paraio::hw {
 
 Interconnect::Interconnect(sim::Engine& engine, std::size_t nodes,
                            const NetParams& params)
-    : engine_(engine), params_(params) {
+    : engine_(engine), params_(params), links_(nodes) {
   nics_.reserve(nodes);
   rx_.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -13,37 +13,36 @@ Interconnect::Interconnect(sim::Engine& engine, std::size_t nodes,
   }
 }
 
+DeviceStats Interconnect::stats() const {
+  DeviceStats total;
+  for (const DeviceStats& link : links_) {
+    total.requests += link.requests;
+    total.bytes += link.bytes;
+    total.busy_time += link.busy_time;
+    total.queue_time += link.queue_time;
+  }
+  return total;
+}
+
 void Interconnect::attach_metrics(obs::Registry& registry,
-                                  const std::string& prefix) {
-  link_metrics_.clear();
-  link_metrics_.reserve(nics_.size());
-  for (std::size_t i = 0; i < nics_.size(); ++i) {
-    link_metrics_.push_back(
-        obs::DeviceMetrics::bind(registry, prefix + std::to_string(i)));
+                                  const std::string& prefix) const {
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    links_[i].attach_metrics(registry, prefix + std::to_string(i));
   }
 }
 
 sim::Task<> Interconnect::send(NodeId src, NodeId dst, std::uint64_t bytes) {
   assert(src < nics_.size() && dst < nics_.size());
+  DeviceStats& link = links_[src];
   const sim::SimTime arrival = engine_.now();
-  if (!link_metrics_.empty()) {
-    link_metrics_[src].qdepth->record(nics_[src]->waiters());
-  }
+  link.qdepth.record(nics_[src]->waiters());
   co_await nics_[src]->acquire();
   co_await rx_[dst]->acquire();
-  const sim::SimDuration waited = engine_.now() - arrival;
-  stats_.queue_time += waited;
+  link.queue_time += engine_.now() - arrival;
   const sim::SimDuration t = transfer_time(bytes);
-  ++stats_.requests;
-  stats_.bytes += bytes;
-  stats_.busy_time += t;
-  if (!link_metrics_.empty()) {
-    obs::DeviceMetrics& m = link_metrics_[src];
-    m.requests->add();
-    m.bytes->add(bytes);
-    m.busy_s->add(t);
-    m.queue_s->add(waited);
-  }
+  ++link.requests;
+  link.bytes += bytes;
+  link.busy_time += t;
   co_await engine_.delay(t);
   rx_[dst]->release();
   nics_[src]->release();
@@ -57,45 +56,29 @@ sim::Task<> Interconnect::broadcast(NodeId root, std::uint64_t bytes,
   // We charge the root's NIC for its log2(parties) sends (it is busy the
   // whole time) and model the remaining stages as pipeline latency.
   const std::size_t stages = broadcast_stages(parties);
+  DeviceStats& link = links_[root];
   const sim::SimTime arrival = engine_.now();
-  if (!link_metrics_.empty()) {
-    link_metrics_[root].qdepth->record(nics_[root]->waiters());
-  }
+  link.qdepth.record(nics_[root]->waiters());
   co_await nics_[root]->acquire();
-  const sim::SimDuration waited = engine_.now() - arrival;
-  stats_.queue_time += waited;
+  link.queue_time += engine_.now() - arrival;
   const sim::SimDuration per_stage = transfer_time(bytes);
   const sim::SimDuration total = static_cast<double>(stages) * per_stage;
-  ++stats_.requests;
-  stats_.bytes += bytes * (parties - 1);
-  stats_.busy_time += total;
-  if (!link_metrics_.empty()) {
-    obs::DeviceMetrics& m = link_metrics_[root];
-    m.requests->add();
-    m.bytes->add(bytes * (parties - 1));
-    m.busy_s->add(total);
-    m.queue_s->add(waited);
-  }
+  ++link.requests;
+  link.bytes += bytes * (parties - 1);
+  link.busy_time += total;
   co_await engine_.delay(total);
   nics_[root]->release();
 }
 
 sim::Task<> FrameBuffer::write(std::uint64_t bytes) {
   const sim::SimTime arrival = engine_.now();
-  if (metrics_.qdepth != nullptr) metrics_.qdepth->record(gate_.waiters());
+  stats_.qdepth.record(gate_.waiters());
   co_await gate_.acquire();
-  const sim::SimDuration waited = engine_.now() - arrival;
-  stats_.queue_time += waited;
+  stats_.queue_time += engine_.now() - arrival;
   const sim::SimDuration t = static_cast<double>(bytes) / bandwidth_;
   ++stats_.requests;
   stats_.bytes += bytes;
   stats_.busy_time += t;
-  if (metrics_.attached()) {
-    metrics_.requests->add();
-    metrics_.bytes->add(bytes);
-    metrics_.busy_s->add(t);
-    metrics_.queue_s->add(waited);
-  }
   co_await engine_.delay(t);
   gate_.release();
 }

@@ -102,13 +102,17 @@ class Interconnect {
 
   [[nodiscard]] const NetParams& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t node_count() const noexcept { return nics_.size(); }
-  [[nodiscard]] const DeviceStats& stats() const noexcept { return stats_; }
+  /// Activity of node `n`'s outgoing link (broadcasts count at the root).
+  [[nodiscard]] const DeviceStats& link_stats(NodeId n) const {
+    return links_.at(n);
+  }
+  /// Sum over every link of requests, bytes, busy and queue time.
+  [[nodiscard]] DeviceStats stats() const;
 
   /// Publishes per-link activity: node `n`'s outgoing link becomes
   /// `<prefix><n>.{requests,bytes,seeks,busy_s,queue_s,qdepth}` (seeks stay
-  /// zero; qdepth samples the tx-gate queue).  Detached cost: one pointer
-  /// test per send.
-  void attach_metrics(obs::Registry& registry, const std::string& prefix);
+  /// zero; qdepth samples the tx-gate queue).
+  void attach_metrics(obs::Registry& registry, const std::string& prefix) const;
 
  private:
   sim::Engine& engine_;
@@ -121,8 +125,7 @@ class Interconnect {
   // waiting on a tx.
   std::vector<std::unique_ptr<sim::Semaphore>> nics_;
   std::vector<std::unique_ptr<sim::Semaphore>> rx_;
-  DeviceStats stats_;
-  std::vector<obs::DeviceMetrics> link_metrics_;  // empty until attached
+  std::vector<DeviceStats> links_;  // indexed like nics_
   // Fault-injection state; inert (and draw-free) until a plan activates it.
   double drop_probability_ = 0.0;
   sim::SimDuration extra_delay_ = 0.0;
@@ -143,9 +146,9 @@ class FrameBuffer {
   [[nodiscard]] double bandwidth() const noexcept { return bandwidth_; }
 
   /// Publishes sink activity under `<prefix>.{requests,bytes,seeks,busy_s,
-  /// queue_s,qdepth}`.  Detached cost: one pointer test per write.
+  /// queue_s,qdepth}`.
   void attach_metrics(obs::Registry& registry, const std::string& prefix) {
-    metrics_ = obs::DeviceMetrics::bind(registry, prefix);
+    stats_.attach_metrics(registry, prefix);
   }
 
  private:
@@ -153,7 +156,6 @@ class FrameBuffer {
   double bandwidth_;
   sim::Semaphore gate_;
   DeviceStats stats_;
-  obs::DeviceMetrics metrics_;
 };
 
 }  // namespace paraio::hw

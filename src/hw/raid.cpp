@@ -81,7 +81,6 @@ sim::Task<> Raid3Array::rebuild(std::size_t disk) {
     stats_.busy_time += service;
     ++fault_stats_.rebuild_chunks;
     fault_stats_.rebuild_bytes += n;
-    if (m_rebuild_bytes_ != nullptr) m_rebuild_bytes_->add(n);
     co_await engine_.delay(service);
     gate_.release();
   }
@@ -96,23 +95,20 @@ sim::Task<DiskOutcome> Raid3Array::access(std::uint64_t offset,
     // Data is unavailable; refuse without consuming spindle time so the
     // failure is detected at controller speed.
     ++fault_stats_.failed_accesses;
-    if (m_failed_ != nullptr) m_failed_->add();
     co_return DiskOutcome{.failed = true, .degraded = false};
   }
   const sim::SimTime arrival = engine_.now();
-  if (metrics_.qdepth != nullptr) metrics_.qdepth->record(gate_.waiters());
+  stats_.qdepth.record(gate_.waiters());
   co_await gate_.acquire();
-  const sim::SimDuration waited = engine_.now() - arrival;
-  stats_.queue_time += waited;
+  stats_.queue_time += engine_.now() - arrival;
   // The array may have failed while this request queued.
   if (failed()) {
     gate_.release();
     ++fault_stats_.failed_accesses;
-    if (m_failed_ != nullptr) m_failed_->add();
     co_return DiskOutcome{.failed = true, .degraded = false};
   }
   const bool was_degraded = degraded();
-  const bool positioned = offset != head_pos_;
+  if (offset != head_pos_) ++stats_.seeks;
   sim::SimDuration service = service_time(offset, bytes);
   if (was_degraded && !is_write) service += degraded_read_extra(bytes);
   head_pos_ = offset + bytes;
@@ -120,17 +116,7 @@ sim::Task<DiskOutcome> Raid3Array::access(std::uint64_t offset,
   ++stats_.requests;
   stats_.bytes += bytes;
   stats_.busy_time += service;
-  if (was_degraded) {
-    ++fault_stats_.degraded_accesses;
-    if (m_degraded_ != nullptr) m_degraded_->add();
-  }
-  if (metrics_.attached()) {
-    metrics_.requests->add();
-    metrics_.bytes->add(bytes);
-    if (positioned) metrics_.seeks->add();
-    metrics_.busy_s->add(service);
-    metrics_.queue_s->add(waited);
-  }
+  if (was_degraded) ++fault_stats_.degraded_accesses;
   co_await engine_.delay(service);
   gate_.release();
   co_return DiskOutcome{.failed = false, .degraded = was_degraded};

@@ -70,6 +70,16 @@ struct RaidFaultStats {
   std::uint64_t failed_accesses = 0;    ///< refused with >= 2 missing
   std::uint64_t rebuild_chunks = 0;
   std::uint64_t rebuild_bytes = 0;
+
+  RaidFaultStats& operator+=(const RaidFaultStats& o) noexcept {
+    disk_failures += o.disk_failures;
+    repairs += o.repairs;
+    degraded_accesses += o.degraded_accesses;
+    failed_accesses += o.failed_accesses;
+    rebuild_chunks += o.rebuild_chunks;
+    rebuild_bytes += o.rebuild_bytes;
+    return *this;
+  }
 };
 
 /// One RAID-3 array: a single logical server (the synchronized spindle set)
@@ -126,12 +136,12 @@ class Raid3Array {
 
   /// Publishes this array's activity under `<prefix>.{requests,bytes,seeks,
   /// busy_s,queue_s,qdepth}` plus the fault counters `<prefix>.{degraded,
-  /// failed,rebuild_bytes}`.  Detached cost: one pointer test per access.
+  /// failed,rebuild_bytes}`.  Busy time includes rebuild traffic.
   void attach_metrics(obs::Registry& registry, const std::string& prefix) {
-    metrics_ = obs::DeviceMetrics::bind(registry, prefix);
-    m_degraded_ = &registry.counter(prefix + ".degraded");
-    m_failed_ = &registry.counter(prefix + ".failed");
-    m_rebuild_bytes_ = &registry.counter(prefix + ".rebuild_bytes");
+    stats_.attach_metrics(registry, prefix);
+    registry.bind(prefix + ".degraded", fault_stats_.degraded_accesses);
+    registry.bind(prefix + ".failed", fault_stats_.failed_accesses);
+    registry.bind(prefix + ".rebuild_bytes", fault_stats_.rebuild_bytes);
   }
 
  private:
@@ -147,10 +157,6 @@ class Raid3Array {
   std::uint64_t max_extent_ = 0;
   DeviceStats stats_;
   RaidFaultStats fault_stats_;
-  obs::DeviceMetrics metrics_;
-  obs::Counter* m_degraded_ = nullptr;
-  obs::Counter* m_failed_ = nullptr;
-  obs::Counter* m_rebuild_bytes_ = nullptr;
 };
 
 }  // namespace paraio::hw

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 namespace paraio::obs {
 
@@ -25,28 +26,64 @@ void Histogram::print(std::ostream& out) const {
   if (first) out << '-';
 }
 
-Counter& Registry::counter(std::string_view name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), Counter{}).first;
+namespace {
+
+template <typename Map>
+typename Map::mapped_type& slot(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string(name)).first;
+  return it->second;
+}
+
+template <typename Map>
+const typename Map::mapped_type& find_series(const Map& map,
+                                             std::string_view name) {
+  const auto it = map.find(name);
+  if (it == map.end()) {
+    throw std::out_of_range("obs::Registry: no series named " +
+                            std::string(name));
   }
   return it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), Gauge{}).first;
-  }
-  return it->second;
+}  // namespace
+
+void Registry::bind(std::string_view name, const std::uint64_t& field) {
+  slot(counters_, name).bind(&field, nullptr);
 }
 
-Histogram& Registry::histogram(std::string_view name) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram{}).first;
-  }
-  return it->second;
+void Registry::bind(std::string_view name, const double& field) {
+  slot(gauges_, name).bind(&field, nullptr);
+}
+
+void Registry::bind(std::string_view name, const Histogram& field) {
+  slot(histograms_, name).bind(&field, nullptr);
+}
+
+void Registry::bind_counter(std::string_view name, Counter::Accessor read) {
+  slot(counters_, name).bind(nullptr, std::move(read));
+}
+
+void Registry::bind_gauge(std::string_view name, Gauge::Accessor read) {
+  slot(gauges_, name).bind(nullptr, std::move(read));
+}
+
+void Registry::freeze() {
+  for (auto& [name, c] : counters_) c.freeze();
+  for (auto& [name, g] : gauges_) g.freeze();
+  for (auto& [name, h] : histograms_) h.freeze();
+}
+
+const Counter& Registry::counter(std::string_view name) const {
+  return find_series(counters_, name);
+}
+
+const Gauge& Registry::gauge(std::string_view name) const {
+  return find_series(gauges_, name);
+}
+
+const Series<Histogram>& Registry::histogram(std::string_view name) const {
+  return find_series(histograms_, name);
 }
 
 void Registry::dump(std::ostream& out) const {
@@ -59,7 +96,7 @@ void Registry::dump(std::ostream& out) const {
   }
   for (const auto& [name, h] : histograms_) {
     out << "histogram " << name << ' ';
-    h.print(out);
+    h.value().print(out);
     out << '\n';
   }
   for (const Sample& s : samples_) {
@@ -72,18 +109,6 @@ std::string Registry::dump_text() const {
   std::ostringstream out;
   dump(out);
   return out.str();
-}
-
-DeviceMetrics DeviceMetrics::bind(Registry& registry,
-                                  const std::string& prefix) {
-  DeviceMetrics m;
-  m.requests = &registry.counter(prefix + ".requests");
-  m.bytes = &registry.counter(prefix + ".bytes");
-  m.seeks = &registry.counter(prefix + ".seeks");
-  m.busy_s = &registry.gauge(prefix + ".busy_s");
-  m.queue_s = &registry.gauge(prefix + ".queue_s");
-  m.qdepth = &registry.histogram(prefix + ".qdepth");
-  return m;
 }
 
 Sampler::Sampler(sim::Engine& engine, Registry& registry,

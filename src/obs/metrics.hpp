@@ -7,19 +7,26 @@
 // into, plus periodic simulated-time snapshots for utilization timelines.
 //
 // Design rules (all load-bearing for determinism):
-//  * Zero cost when detached — instrumented classes hold null handle
-//    pointers and guard every update with one pointer test, the same
-//    pattern as sim::RaceDetector.
-//  * Zero simulated time always — updates are pure bookkeeping; attaching
-//    a registry must leave golden trace digests bit-identical.
-//  * Ordered storage only — handles live in std::map nodes so iteration
-//    and the text dump are deterministic (and pointers are stable).
+//  * One home per counter — every series is stored in exactly one field of
+//    the owning layer's stat struct (hw::DeviceStats, ppfs::IonServerStats,
+//    ...), which the layer updates unconditionally.  Attaching binds a name
+//    to that field; the registry stores nothing and reads through the
+//    binding whenever it dumps or samples.
+//  * Bound fields must outlive every read.  A registry read after the
+//    stack it is bound to is destroyed needs freeze() first, which latches
+//    every current value into the registry (core::run_experiment does this
+//    before returning).
+//  * Zero simulated time always — reads are pure bookkeeping; attaching a
+//    registry must leave golden trace digests bit-identical.
+//  * Ordered storage only — series live in std::map nodes so iteration and
+//    the text dump are deterministic (and sample name pointers are stable).
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -30,27 +37,6 @@
 #include "sim/time.hpp"
 
 namespace paraio::obs {
-
-/// Monotonically increasing event count (requests, seeks, cache hits...).
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Instantaneous or accumulated real value (busy seconds, queue depth...).
-class Gauge {
- public:
-  void set(double v) noexcept { value_ = v; }
-  void add(double d) noexcept { value_ += d; }
-  [[nodiscard]] double value() const noexcept { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// Log2-bucketed histogram of non-negative integer samples.  Bucket 0 holds
 /// the value 0; bucket b >= 1 holds values in [2^(b-1), 2^b).  The paper's
@@ -106,14 +92,48 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// Named-metric registry.  Handle references are stable for the registry's
-/// lifetime (map nodes never move), so instrumented classes cache raw
-/// pointers at attach time and pay no lookup on the hot path.
+/// One published series, read through to the field that stores it (or to
+/// an accessor summing lazily created owners) until Registry::freeze()
+/// latches the current value.
+template <typename T>
+class Series {
+ public:
+  using Accessor = std::function<T()>;
+
+  [[nodiscard]] T value() const {
+    if (field_ != nullptr) return *field_;
+    return read_ ? read_() : frozen_;
+  }
+
+ private:
+  friend class Registry;
+
+  void bind(const T* field, Accessor read) {
+    field_ = field;
+    read_ = std::move(read);
+  }
+  void freeze() {
+    frozen_ = value();
+    bind(nullptr, nullptr);
+  }
+
+  const T* field_ = nullptr;
+  Accessor read_;
+  T frozen_{};
+};
+
+/// Monotonically increasing event count (requests, seeks, cache hits...).
+using Counter = Series<std::uint64_t>;
+/// Instantaneous or accumulated real value (busy seconds, queue depth...).
+using Gauge = Series<double>;
+
+/// Named read-through view of the layers' stat structs.  Binding an
+/// existing name replaces its source.
 class Registry {
  public:
   using CounterMap = std::map<std::string, Counter, std::less<>>;
   using GaugeMap = std::map<std::string, Gauge, std::less<>>;
-  using HistogramMap = std::map<std::string, Histogram, std::less<>>;
+  using HistogramMap = std::map<std::string, Series<Histogram>, std::less<>>;
 
   /// A periodic snapshot of one gauge or counter, in simulated time.
   struct Sample {
@@ -122,9 +142,27 @@ class Registry {
     double value = 0.0;
   };
 
-  [[nodiscard]] Counter& counter(std::string_view name);
-  [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] Histogram& histogram(std::string_view name);
+  void bind(std::string_view name, const std::uint64_t& field);
+  void bind(std::string_view name, const double& field);
+  void bind(std::string_view name, const Histogram& field);
+  /// A field of any other type would bind to a converted temporary.
+  template <typename T>
+  void bind(std::string_view name, const T& field) = delete;
+  template <typename T>
+  void bind(std::string_view name, const T&& field) = delete;
+  /// Accessor forms, for series that are not one field (a sum over lazily
+  /// created owners, or a count published as a gauge).
+  void bind_counter(std::string_view name, Counter::Accessor read);
+  void bind_gauge(std::string_view name, Gauge::Accessor read);
+
+  /// Latches every bound value into the registry, so it can be read after
+  /// the bound fields are gone.
+  void freeze();
+
+  /// Lookup of a published series; throws std::out_of_range when absent.
+  [[nodiscard]] const Counter& counter(std::string_view name) const;
+  [[nodiscard]] const Gauge& gauge(std::string_view name) const;
+  [[nodiscard]] const Series<Histogram>& histogram(std::string_view name) const;
 
   [[nodiscard]] const CounterMap& counters() const noexcept {
     return counters_;
@@ -150,23 +188,6 @@ class Registry {
   GaugeMap gauges_;
   HistogramMap histograms_;
   std::vector<Sample> samples_;
-};
-
-/// Handle bundle for one queued device (disk, RAID array, network link,
-/// frame buffer).  Mirrors hw::DeviceStats plus a queue-depth histogram.
-struct DeviceMetrics {
-  Counter* requests = nullptr;
-  Counter* bytes = nullptr;
-  Counter* seeks = nullptr;
-  Gauge* busy_s = nullptr;
-  Gauge* queue_s = nullptr;
-  Histogram* qdepth = nullptr;
-
-  [[nodiscard]] bool attached() const noexcept { return requests != nullptr; }
-  /// Creates/finds `<prefix>.requests`, `.bytes`, `.seeks`, `.busy_s`,
-  /// `.queue_s`, `.qdepth` in `registry` and returns the handles.
-  [[nodiscard]] static DeviceMetrics bind(Registry& registry,
-                                          const std::string& prefix);
 };
 
 /// Periodic simulated-time snapshots of every gauge and counter.

@@ -43,6 +43,7 @@ FileObject::FileObject(sim::Engine& engine, io::FileId id_, std::string name_,
 
 Pfs::Pfs(hw::Machine& machine, PfsParams params)
     : machine_(machine), params_(std::move(params)) {
+  counters_.ions.resize(machine_.io_nodes());
   ion_control_.reserve(machine_.io_nodes());
   ion_dir_.reserve(machine_.io_nodes());
   for (std::size_t i = 0; i < machine_.io_nodes(); ++i) {
@@ -54,28 +55,19 @@ Pfs::Pfs(hw::Machine& machine, PfsParams params)
 
 void Pfs::attach_observability(obs::Registry* registry, obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (registry == nullptr) {
-    ion_requests_.clear();
-    ion_bytes_.clear();
-    mode_wait_us_ = nullptr;
-    mode_wait_s_ = nullptr;
-    return;
-  }
-  ion_requests_.clear();
-  ion_bytes_.clear();
-  for (std::size_t i = 0; i < machine_.io_nodes(); ++i) {
+  if (registry == nullptr) return;
+  for (std::size_t i = 0; i < counters_.ions.size(); ++i) {
     const std::string prefix = "pfs.ion" + std::to_string(i);
-    ion_requests_.push_back(&registry->counter(prefix + ".requests"));
-    ion_bytes_.push_back(&registry->counter(prefix + ".bytes"));
+    registry->bind(prefix + ".requests", counters_.ions[i].requests);
+    registry->bind(prefix + ".bytes", counters_.ions[i].bytes);
   }
-  mode_wait_us_ = &registry->histogram("pfs.mode_wait_us");
-  mode_wait_s_ = &registry->gauge("pfs.mode_wait_s");
+  registry->bind("pfs.mode_wait_us", counters_.mode_wait_us);
+  registry->bind("pfs.mode_wait_s", counters_.mode_wait_time);
 }
 
 void Pfs::note_mode_wait(sim::SimDuration waited) {
-  if (mode_wait_us_ == nullptr) return;
-  mode_wait_us_->record(static_cast<std::uint64_t>(waited * 1e6));
-  mode_wait_s_->add(waited);
+  counters_.mode_wait_us.record(static_cast<std::uint64_t>(waited * 1e6));
+  counters_.mode_wait_time += waited;
 }
 
 sim::Task<> Pfs::control_rpc(io::NodeId node, std::uint32_t ion,
@@ -121,10 +113,8 @@ sim::Task<std::uint64_t> Pfs::transfer(io::NodeId node,
   }
   sim::TaskGroup group(machine_.engine());
   for (const Segment& seg : segments) {
-    if (!ion_requests_.empty()) {
-      ion_requests_[seg.ion]->add();
-      ion_bytes_[seg.ion]->add(seg.length);
-    }
+    ++counters_.ions[seg.ion].requests;
+    counters_.ions[seg.ion].bytes += seg.length;
     auto piece = [](Pfs& fs, io::NodeId src, detail::FileObject& f,
                     Segment s, bool write,
                     obs::Tracer::SpanId parent) -> sim::Task<> {

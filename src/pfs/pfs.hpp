@@ -81,6 +81,12 @@ struct PfsParams {
   bool write_control_rpc = true;
 };
 
+/// Load one stripe server (I/O node) received from data transfers.
+struct PfsIonLoad {
+  std::uint64_t requests = 0;  // stripe segments routed to this ION
+  std::uint64_t bytes = 0;
+};
+
 /// Aggregate operation counters a mounted PFS exposes for tests/benches.
 struct PfsCounters {
   std::uint64_t reads = 0;
@@ -90,6 +96,11 @@ struct PfsCounters {
   std::uint64_t closes = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
+  std::vector<PfsIonLoad> ions;  // indexed by I/O node
+  /// Time callers spent blocked on the shared-pointer mode gates (M_LOG
+  /// token, M_SYNC turn, M_GLOBAL rendezvous), in total and per wait.
+  sim::SimDuration mode_wait_time = 0.0;
+  obs::Histogram mode_wait_us;
 };
 
 class Pfs;
@@ -195,8 +206,7 @@ class Pfs final : public io::FileSystem {
   /// Publishes per-stripe-server request counts and byte balance
   /// (`pfs.ion<k>.{requests,bytes}`) and mode-gate waits
   /// (`pfs.mode_wait_us` / `pfs.mode_wait_s`) into `registry`, and opens
-  /// transfer spans on `tracer`.  Either may be null; detached hot-path
-  /// cost is one pointer test.
+  /// transfer spans on `tracer`.  Either may be null.
   void attach_observability(obs::Registry* registry, obs::Tracer* tracer);
 
  private:
@@ -219,7 +229,7 @@ class Pfs final : public io::FileSystem {
                                     bool is_write);
 
   /// Records one mode-gate wait (M_LOG token, M_SYNC turn, M_GLOBAL
-  /// rendezvous) when metrics are attached.
+  /// rendezvous).
   void note_mode_wait(sim::SimDuration waited);
 
   [[nodiscard]] std::uint32_t meta_ion_of(const detail::FileObject& file) const {
@@ -238,12 +248,6 @@ class Pfs final : public io::FileSystem {
   io::FileId next_file_id_ = 1;
   PfsCounters counters_;
   IoObserver* observer_ = nullptr;
-
-  // Observability handles; empty/null until attach_observability.
-  std::vector<obs::Counter*> ion_requests_;
-  std::vector<obs::Counter*> ion_bytes_;
-  obs::Histogram* mode_wait_us_ = nullptr;
-  obs::Gauge* mode_wait_s_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -30,16 +30,16 @@ IonServer::IonServer(hw::Machine& machine, std::size_t ion_index,
 void IonServer::attach_observability(obs::Registry& registry,
                                      const std::string& prefix,
                                      obs::Tracer* tracer) {
-  m_batch_requests_ = &registry.histogram(prefix + ".batch_requests");
-  m_cache_hits_ = &registry.counter(prefix + ".cache_hits");
-  m_cache_misses_ = &registry.counter(prefix + ".cache_misses");
+  tracer_ = tracer;
+  registry.bind(prefix + ".batch_requests", stats_.batch_requests);
+  registry.bind(prefix + ".cache_hits", stats_.cache_hits);
+  registry.bind(prefix + ".cache_misses", stats_.cache_misses);
   // Fault-path load: without these, retried and failed-over requests are
   // invisible in the per-ION metrics even though they occupy the server.
-  m_refused_ = &registry.counter(prefix + ".refused");
-  m_abandoned_ = &registry.counter(prefix + ".abandoned");
-  m_degraded_ = &registry.counter(prefix + ".degraded");
-  m_array_failures_ = &registry.counter(prefix + ".array_failures");
-  tracer_ = tracer;
+  registry.bind(prefix + ".refused", stats_.refused);
+  registry.bind(prefix + ".abandoned", stats_.abandoned);
+  registry.bind(prefix + ".degraded", stats_.degraded);
+  registry.bind(prefix + ".array_failures", stats_.array_failures);
 }
 
 bool IonServer::cache_covers(std::uint64_t address, std::uint64_t length) {
@@ -69,7 +69,6 @@ sim::Task<io::IoOutcome> IonServer::submit(io::NodeId src,
   // fast, deterministic, and retryable once the node restarts.
   if (!machine_.ion_up(ion_index_)) {
     ++stats_.refused;
-    if (m_refused_ != nullptr) m_refused_->add();
     co_await net.send(src, ion_node, kControlBytes);
     co_await net.send(ion_node, src, kControlBytes);
     co_return io::IoOutcome{.error = io::IoErrc::kIonDown};
@@ -162,7 +161,7 @@ sim::Task<> IonServer::serve() {
     }
     stats_.requests += batch.size();
     ++stats_.batches;
-    if (m_batch_requests_ != nullptr) m_batch_requests_->record(batch.size());
+    stats_.batch_requests.record(batch.size());
     obs::Tracer::SpanId span = 0;
     if (tracer_ != nullptr) {
       span = tracer_->begin({machine_.ion_node_id(ion_index_), 2},
@@ -190,7 +189,6 @@ sim::Task<> IonServer::serve() {
           lost.result->error = io::IoErrc::kIonDown;
           lost.done->set();
           ++stats_.abandoned;
-          if (m_abandoned_ != nullptr) m_abandoned_->add();
         }
         break;
       }
@@ -199,15 +197,11 @@ sim::Task<> IonServer::serve() {
       // array (the second buffering level of the paper's §8).
       if (!first.is_write && cache_covers(first.address, first.length)) {
         ++stats_.cache_hits;
-        if (m_cache_hits_ != nullptr) m_cache_hits_->add();
         batch[order[i]].done->set();
         ++i;
         continue;
       }
-      if (!first.is_write) {
-        ++stats_.cache_misses;
-        if (m_cache_misses_ != nullptr) m_cache_misses_->add();
-      }
+      if (!first.is_write) ++stats_.cache_misses;
       std::uint64_t lo = first.address;
       std::uint64_t hi = first.address + first.length;
       std::size_t j = i + 1;
@@ -228,7 +222,6 @@ sim::Task<> IonServer::serve() {
           batch[order[k]].result->error = io::IoErrc::kArrayFailed;
           batch[order[k]].done->set();
           ++stats_.array_failures;
-          if (m_array_failures_ != nullptr) m_array_failures_->add();
         }
         i = j;
         continue;
@@ -238,10 +231,7 @@ sim::Task<> IonServer::serve() {
       for (std::size_t k = i; k < j; ++k) {
         batch[order[k]].result->degraded = disk.degraded;
         batch[order[k]].done->set();
-        if (disk.degraded) {
-          ++stats_.degraded;
-          if (m_degraded_ != nullptr) m_degraded_->add();
-        }
+        if (disk.degraded) ++stats_.degraded;
       }
       i = j;
     }

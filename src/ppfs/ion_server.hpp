@@ -36,6 +36,7 @@ struct IonServerStats {
   std::uint64_t abandoned = 0;     ///< queued requests dropped by a crash
   std::uint64_t array_failures = 0;  ///< requests that hit a failed array
   std::uint64_t degraded = 0;      ///< requests served by a degraded array
+  obs::Histogram batch_requests;   ///< requests drained per batch
   /// requests / disk_accesses > 1 means aggregation is working.
   [[nodiscard]] double aggregation_factor() const {
     return disk_accesses
@@ -105,15 +106,6 @@ class IonServer {
   BlockCache cache_;  // keyed by disk-address block; file id unused (0)
   std::uint32_t seen_epoch_ = 0;  // wipe cache_ when the ION restarts
   IonServerStats stats_;
-
-  // Observability handles; null until attach_observability.
-  obs::Histogram* m_batch_requests_ = nullptr;
-  obs::Counter* m_cache_hits_ = nullptr;
-  obs::Counter* m_cache_misses_ = nullptr;
-  obs::Counter* m_refused_ = nullptr;
-  obs::Counter* m_abandoned_ = nullptr;
-  obs::Counter* m_degraded_ = nullptr;
-  obs::Counter* m_array_failures_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -175,6 +175,36 @@ TEST(FaultInjection, AppliesEventsAtPlannedTimes) {
   EXPECT_EQ(injector.applied(), 2u);
 }
 
+// Rebuild traffic occupies the spindles, so the published busy time must
+// include it: "busiest resources" would otherwise under-report a rebuilding
+// array.
+TEST(FaultInjection, RebuildTimeShowsInPublishedBusyTime) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 2));
+  obs::Registry metrics;
+  machine.attach_metrics(metrics);
+  fault::FaultPlan plan;
+  plan.add({1.0, fault::FaultKind::kDiskFail, 0, 1, 0.0});
+  plan.add({2.0, fault::FaultKind::kDiskRepair, 0, 1, 0.0});
+  fault::FaultInjector injector(engine, machine, plan, &metrics);
+
+  auto writer = [&]() -> sim::Task<> {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const hw::DiskOutcome w =
+          co_await machine.ion_array(0).access(i << 20, 1 << 20, true);
+      EXPECT_TRUE(w.ok());
+      co_await engine.delay(0.5);
+    }
+  };
+  engine.spawn(writer());
+  engine.run();
+
+  const hw::Raid3Array& array = machine.ion_array(0);
+  ASSERT_GT(array.fault_stats().rebuild_chunks, 0u);
+  EXPECT_EQ(metrics.gauge("hw.array0.busy_s").value(), array.stats().busy_time);
+  EXPECT_EQ(metrics.counter("fault.disk-repair").value(), 1u);
+}
+
 TEST(FaultInjection, ChainsOntoExistingObserver) {
   testkit::InvariantChecker checker;
   sim::Engine engine;
@@ -220,7 +250,8 @@ TEST(FaultRecovery, DiskFailureMidEscatCompletesDegraded) {
   EXPECT_GT(faulty.raid_faults.degraded_accesses, 0u);
   EXPECT_EQ(faulty.raid_faults.failed_accesses, 0u);
   EXPECT_GT(metrics.counter("hw.array0.degraded").value(), 0u);
-  EXPECT_GT(metrics.counter("fault.injected").value(), 0u);
+  EXPECT_EQ(metrics.counter("fault.injected").value(), 1u);
+  EXPECT_EQ(metrics.counter("fault.disk-fail").value(), 1u);
   // Degraded reads only add time: the faulty run can never be faster.
   EXPECT_GE(faulty.run_end, clean.run_end);
 }

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/absorber.hpp"
 #include "core/experiment.hpp"
+#include "hw/machine.hpp"
 #include "obs/chrome.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -39,9 +41,12 @@ ObservedRun run_observed(core::ExperimentConfig cfg) {
   out.trace_hash = testkit::hash_trace(r.trace);
   out.metrics_dump = registry.dump_text();
   out.chrome_trace = obs::chrome_trace_text(tracer, &registry);
-  out.cache_hits = registry.counter("ppfs.cache.hits").value();
-  out.cache_misses = registry.counter("ppfs.cache.misses").value();
-  out.array_qdepth_count = registry.histogram("hw.array0.qdepth").count();
+  if (cfg.filesystem.kind == core::FsChoice::Kind::kPpfs) {
+    out.cache_hits = registry.counter("ppfs.cache.hits").value();
+    out.cache_misses = registry.counter("ppfs.cache.misses").value();
+  }
+  out.array_qdepth_count =
+      registry.histogram("hw.array0.qdepth").value().count();
   out.link_bytes = registry.counter("hw.link0.bytes").value();
   out.span_count = tracer.spans().size();
   return out;
@@ -98,6 +103,45 @@ TEST(ExperimentObs, ChromeTraceIsValidJson) {
   // The exporter names processes and emits app-phase spans.
   EXPECT_NE(r.chrome_trace.find("\"app phases\""), std::string::npos);
   EXPECT_NE(r.chrome_trace.find("\"quadrature\""), std::string::npos);
+}
+
+// A hand-built stack with every layer attached: each published series is
+// the struct field it is bound to, not a copy of it.
+TEST(ObsBinding, HandBuiltStackReadsTheStructFields) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 2));
+  pfs::Pfs pfs_fs(machine);
+  ppfs::Ppfs ppfs_fs(machine);
+  ckpt::WriteAbsorber absorber(ppfs_fs);
+  obs::Registry registry;
+  machine.attach_metrics(registry);
+  pfs_fs.attach_observability(&registry, nullptr);
+  ppfs_fs.attach_observability(&registry, nullptr);
+  absorber.attach_observability(&registry, nullptr);
+
+  auto work = [&]() -> sim::Task<> {
+    io::OpenOptions create;
+    create.create = true;
+    auto f = co_await pfs_fs.open(0, "/data", create);
+    (void)co_await f->write(200 * 1024);
+    co_await f->close();
+    co_await absorber.append(1, 1, 0, 96 * 1024);
+  };
+  engine.spawn(work());
+  engine.run();
+
+  const std::uint64_t array_requests = machine.ion_array(0).stats().requests;
+  const std::uint64_t link_bytes = machine.net().link_stats(0).bytes;
+  const std::uint64_t ion_bytes = pfs_fs.counters().ions[0].bytes;
+  const std::uint64_t acked = absorber.stats().acked_bytes;
+  EXPECT_GT(array_requests, 0u);
+  EXPECT_GT(link_bytes, 0u);
+  EXPECT_GT(ion_bytes, 0u);
+  EXPECT_EQ(acked, 96u * 1024);
+  EXPECT_EQ(registry.counter("hw.array0.requests").value(), array_requests);
+  EXPECT_EQ(registry.counter("hw.link0.bytes").value(), link_bytes);
+  EXPECT_EQ(registry.counter("pfs.ion0.bytes").value(), ion_bytes);
+  EXPECT_EQ(registry.counter("ckpt.log.acked_bytes").value(), acked);
 }
 
 }  // namespace

@@ -56,60 +56,85 @@ TEST(Histogram, RecordTracksMoments) {
 
 TEST(Registry, HandlesAreStableAndNamed) {
   Registry r;
-  Counter& c = r.counter("a.requests");
-  c.add(3);
-  // Creating unrelated metrics must not move existing nodes.
-  for (int i = 0; i < 100; ++i) {
-    (void)r.counter("filler." + std::to_string(i));
-  }
+  const std::uint64_t requests = 3;
+  r.bind("a.requests", requests);
+  const Counter& c = r.counter("a.requests");
+  // Publishing unrelated series must not move existing nodes.
+  const std::uint64_t filler = 0;
+  for (int i = 0; i < 100; ++i) r.bind("filler." + std::to_string(i), filler);
   EXPECT_EQ(&r.counter("a.requests"), &c);
-  EXPECT_EQ(r.counter("a.requests").value(), 3u);
+  EXPECT_EQ(c.value(), 3u);
+  EXPECT_THROW((void)r.counter("never.bound"), std::out_of_range);
 }
 
 TEST(Registry, DumpIsSortedAndReproducible) {
-  auto build = [] {
+  const std::uint64_t late = 1;
+  const std::uint64_t early = 2;
+  const double mid = 1.5;
+  Histogram sizes;
+  sizes.record(1024);
+  auto build = [&] {
     Registry r;
-    r.counter("z.late").add(1);
-    r.counter("a.early").add(2);
-    r.gauge("m.mid").set(1.5);
-    r.histogram("h.sizes").record(1024);
+    r.bind("z.late", late);
+    r.bind("a.early", early);
+    r.bind("m.mid", mid);
+    r.bind("h.sizes", sizes);
     return r.dump_text();
   };
   const std::string a = build();
   EXPECT_EQ(a, build());
-  // Sorted by name regardless of creation order.
+  // Sorted by name regardless of binding order.
   EXPECT_LT(a.find("a.early"), a.find("z.late"));
   EXPECT_EQ(a.find("# paraio metrics v1"), 0u);
 }
 
-TEST(DeviceMetrics, BindCreatesTheFullBundle) {
-  Registry r;
-  const DeviceMetrics m = DeviceMetrics::bind(r, "hw.disk0");
-  EXPECT_TRUE(m.attached());
-  m.requests->add();
-  m.bytes->add(512);
-  m.busy_s->add(0.25);
-  m.qdepth->record(3);
-  EXPECT_EQ(r.counter("hw.disk0.requests").value(), 1u);
-  EXPECT_EQ(r.counter("hw.disk0.bytes").value(), 512u);
-  EXPECT_DOUBLE_EQ(r.gauge("hw.disk0.busy_s").value(), 0.25);
-  EXPECT_EQ(r.histogram("hw.disk0.qdepth").count(), 1u);
-  EXPECT_FALSE(DeviceMetrics{}.attached());
-}
-
-sim::Task<> tick(sim::Engine& engine, Registry& registry, int steps) {
+sim::Task<> tick(sim::Engine& engine, double& gauge, int steps) {
   for (int i = 0; i < steps; ++i) {
     co_await engine.delay(1.0);
-    registry.gauge("g").add(1.0);
+    gauge += 1.0;
   }
+}
+
+TEST(Registry, BindReadsThroughAndFreezeOutlivesTheOwner) {
+  sim::Engine engine;
+  Registry registry;
+  auto owner = std::make_unique<double>(0.0);
+  std::uint64_t evictions = 0;
+  registry.bind("g", *owner);
+  registry.bind_counter("sum", [&evictions] { return evictions * 2; });
+  {
+    Sampler sampler(engine, registry, 2.0);
+    engine.spawn(tick(engine, *owner, 3));
+    engine.run();
+  }
+  // A change to the bound field shows up in the dump and the samples
+  // (each snapshot records gauges, then counters).
+  EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 3.0);
+  EXPECT_NE(registry.dump_text().find("gauge g 3\n"), std::string::npos);
+  const auto& samples = registry.samples();
+  ASSERT_EQ(samples.size(), 4u);  // t=2 and the final t=3, two series each
+  EXPECT_EQ(*samples[2].name, "g");
+  EXPECT_DOUBLE_EQ(samples[0].value, 1.0);  // as of the event before t=2
+  EXPECT_DOUBLE_EQ(samples[2].value, 3.0);
+  evictions = 4;
+  EXPECT_EQ(registry.counter("sum").value(), 8u);
+
+  // After freeze() the values outlive the field's owner.
+  registry.freeze();
+  owner.reset();
+  evictions = 100;
+  EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 3.0);
+  EXPECT_EQ(registry.counter("sum").value(), 8u);
+  EXPECT_NE(registry.dump_text().find("counter sum 8\n"), std::string::npos);
 }
 
 TEST(Sampler, SnapshotsAtPeriodBoundaries) {
   sim::Engine engine;
   Registry registry;
-  (void)registry.gauge("g");
+  double g = 0.0;
+  registry.bind("g", g);
   Sampler sampler(engine, registry, 2.0);
-  engine.spawn(tick(engine, registry, 5));
+  engine.spawn(tick(engine, g, 5));
   engine.run();
 
   // Sample boundaries at t=2 and t=4 (values as of the event that crossed

@@ -98,7 +98,8 @@ TEST(ChromeTrace, EmitsMetadataCompleteAndCounterEvents) {
   tracer.complete({3, 1}, "pfs.read", 0.5, 1.5, "pfs");
 
   Registry registry;
-  (void)registry.gauge("hw.link0.busy_s");
+  const double busy_s = 0.25;
+  registry.bind("hw.link0.busy_s", busy_s);
   sim::Engine sample_engine;
   {
     Sampler sampler(sample_engine, registry, 1.0);

@@ -196,7 +196,8 @@ int main(int argc, char** argv) {
   }
 
   print_rule("disk-array queue depth");
-  for (const auto& [name, histogram] : registry.histograms()) {
+  for (const auto& [name, series] : registry.histograms()) {
+    const obs::Histogram histogram = series.value();
     if (!name.starts_with("hw.array") || !name.ends_with(".qdepth") ||
         histogram.count() == 0) {
       continue;
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
     print_rule("PFS mode-gate waits");
     std::printf("  total wait %.6f s\n",
                 registry.gauge("pfs.mode_wait_s").value());
-    const auto& waits = registry.histogram("pfs.mode_wait_us");
+    const obs::Histogram waits = registry.histogram("pfs.mode_wait_us").value();
     if (waits.count() > 0) {
       std::printf("  per-wait microseconds (mean %.1f):  ", waits.mean());
       waits.print(std::cout);
