@@ -1,7 +1,7 @@
 // Shared helpers for the table/figure reproduction binaries.
 #pragma once
 
-#include <chrono>  // paraio-lint: allow(wall-clock)
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>

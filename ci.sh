@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
 # Continuous-integration entry point:
 #
-#   1. lint   — paraio_lint (cross-file concurrency + flow-sensitive
-#               dataflow checks) over every shipping source tree (src/,
+#   1. lint   — paraio_lint (one index pass + one per-file token pass, see
+#               docs/LINTING.md) over every shipping source tree (src/,
 #               bench/, examples/, tools/) and tests/ (seeded fixtures
-#               excluded), with the checked-in SARIF baseline applied and
-#               docs/LINTING.md checked against the compiled-in catalog;
-#               any unsuppressed finding — or stale baseline entry — fails
-#               CI.  Leaves build/paraio_lint.sarif and the cross-LP
-#               report as artifacts.
+#               and the nodiscard probe excluded), with docs/LINTING.md
+#               checked against the compiled-in catalog; any unsuppressed
+#               finding, warnings included, fails CI.
 #   2. build  — the tier-1 verification (build + full test suite) in a plain
 #               build, warnings promoted to errors.
 #   3. verify — the concurrency-verification layer on its own: the
@@ -17,8 +15,7 @@
 #   4. obs    — paraio_stat on a small ESCAT run: the report must mention
 #               the key signals and the emitted Chrome trace must be valid
 #               JSON (paraio_stat revalidates it before writing and exits
-#               nonzero otherwise); any lint finding in src/obs fails, even
-#               warnings.
+#               nonzero otherwise).
 #   5. perf   — a Release build of the self-harnessed kernel microbench
 #               (bench_micro_sim --json, three invocations), regression-
 #               gated by tools/check_bench.py against the committed
@@ -58,29 +55,12 @@ echo "== lint =="
 lint_dir=build-lint
 mkdir -p "${lint_dir}"
 "${CXX:-c++}" -std=c++20 -O1 -o "${lint_dir}/paraio_lint" \
-  tools/paraio_lint/lint.cpp tools/paraio_lint/cfg.cpp \
-  tools/paraio_lint/dataflow.cpp tools/paraio_lint/callgraph.cpp \
-  tools/paraio_lint/summaries.cpp tools/paraio_lint/flow_checks.cpp \
-  tools/paraio_lint/baseline.cpp tools/paraio_lint/sarif.cpp \
-  tools/paraio_lint/main.cpp src/obs/json.cpp -I tools -I src
+  tools/paraio_lint/lint.cpp tools/paraio_lint/main.cpp -I tools
 "${lint_dir}/paraio_lint" --check-docs=docs/LINTING.md
-# The tree-wide run is time-budgeted: the interprocedural passes (call
-# graph + summary fixpoint) are linear-ish in practice (~0.2 s for the
-# whole tree today), so a 120 s ceiling only trips on a real blowup
-# (e.g. a non-converging fixpoint).  --stats records the per-pass cost.
-# This is the only tree-wide run; it also leaves the SARIF log and the
-# ranked cross-LP shared-state audit as artifacts for a reviewer, even when
-# nothing fires.
-mkdir -p build
-timeout 120 "${lint_dir}/paraio_lint" --werror --stats \
-  --sarif=build/paraio_lint.sarif \
-  --lp-report=build/paraio_lint_cross_lp.txt \
-  --baseline=tools/paraio_lint/baseline.sarif --exclude=fixtures \
+# The only tree-wide run (src/obs included); the same arguments as the
+# lint_tree ctest.
+"${lint_dir}/paraio_lint" --werror --exclude=fixtures,nodiscard_probe \
   src bench examples tools tests
-test -s build/paraio_lint.sarif
-grep -q '"version":"2.1.0"' build/paraio_lint.sarif
-test -s build/paraio_lint_cross_lp.txt
-grep -q 'cross-LP shared-state audit' build/paraio_lint_cross_lp.txt
 
 run_stage build -DPARAIO_WERROR=ON
 
@@ -104,9 +84,9 @@ ctest --test-dir build --output-on-failure -j "${jobs}" -R 'Fault|Recovery'
 # Checkpoint/restart (docs/CHECKPOINT.md): log-replay semantics, absorber
 # ledger + backpressure, the two-barrier epoch protocol, the end-to-end
 # ION-crash recovery scenario, and the randomized checkpoint properties.
-# The fault/recovery bench report ships as an artifact next to the SARIF
-# log so a reviewer sees the measured degradation and checkpoint overhead
-# for the exact tree under review.
+# The fault/recovery bench report ships as a build artifact so a reviewer
+# sees the measured degradation and checkpoint overhead for the exact tree
+# under review.
 echo "== crash-recovery: checkpoint/restart suite + recovery-stats artifact =="
 ctest --test-dir build --output-on-failure -j "${jobs}" -R 'Ckpt|CrashRecovery'
 cmake --build build -j "${jobs}" --target bench_faults
@@ -117,9 +97,6 @@ grep -q 'ckpt-absorber' build/recovery_stats.txt
 grep -q 'failover' build/recovery_stats.txt
 
 # --- observability stage ---------------------------------------------------
-echo "== obs: lint src/obs (warnings fatal) =="
-"${lint_dir}/paraio_lint" --werror src/obs
-
 echo "== obs: paraio_stat on small ESCAT =="
 obs_out=build/obs-ci
 mkdir -p "${obs_out}"
@@ -165,14 +142,14 @@ if [[ "${1:-}" != "--fast" ]]; then
 
   # --- ubsan stage ---------------------------------------------------------
   # UBSan alone: no shadow memory, ~no slowdown, so the tier-1 kernel subset
-  # (event queue, engine, sync, hardware, striping, lint core) runs as its
+  # (event queue, engine, sync, hardware, striping, lint) runs as its
   # own prong; UB that ASan's instrumentation happens to mask still traps.
   echo "== ubsan: tier-1 subset under PARAIO_SANITIZE=undefined =="
   cmake -B build-ubsan -S . -DPARAIO_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPARAIO_WERROR=ON
   cmake --build build-ubsan -j "${jobs}"
   ctest --test-dir build-ubsan --output-on-failure -j "${jobs}" \
-    -R 'EventQueue|Engine|Task|Sync|Semaphore|Mutex|Barrier|Latch|Disk|Raid|Network|Stripe|Cfg|Dataflow|Lint|Ckpt|CrashRecovery'
+    -R 'EventQueue|Engine|Task|Sync|Semaphore|Mutex|Barrier|Latch|Disk|Raid|Network|Stripe|Lint|Ckpt|CrashRecovery'
 
   run_stage build-asan -DPARAIO_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPARAIO_WERROR=ON

@@ -1,8 +1,7 @@
 // Dependency-free JSON validation (RFC 8259 subset: no duplicate-key or
 // number-range policing).  Split out of the Chrome exporter so tools that
-// emit JSON without linking the full obs layer — paraio_lint's SARIF writer,
-// paraio_stat — can self-check their output with the same checker the trace
-// exporter uses.
+// emit JSON without linking the full obs layer, such as paraio_stat, can
+// self-check their output with the same checker the trace exporter uses.
 #pragma once
 
 #include <string>

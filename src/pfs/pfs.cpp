@@ -304,8 +304,8 @@ sim::Task<std::uint64_t> PfsFile::transfer_mode_dispatch(std::uint64_t bytes,
       auto* races = sim::RaceDetector::find(fs_.machine().engine());
       if (races) {
         const auto task = races->task_for_key(node_, "node");
-        races->acquire(task, f.token.get());  // paraio-lint: allow(missing-co-await)
-        races->write(task, "pfs:" + f.name + ":shared_offset");  // paraio-lint: allow(discarded-task)
+        races->acquire(task, f.token.get());
+        races->write(task, "pfs:" + f.name + ":shared_offset");
       }
       const std::uint64_t off = f.shared_offset;
       std::uint64_t reserve = bytes;
@@ -332,8 +332,8 @@ sim::Task<std::uint64_t> PfsFile::transfer_mode_dispatch(std::uint64_t bytes,
       auto* races = sim::RaceDetector::find(fs_.machine().engine());
       if (races) {
         const auto task = races->task_for_key(node_, "node");
-        races->acquire(task, f.turns.get());  // paraio-lint: allow(missing-co-await)
-        races->write(task, "pfs:" + f.name + ":shared_offset");  // paraio-lint: allow(discarded-task)
+        races->acquire(task, f.turns.get());
+        races->write(task, "pfs:" + f.name + ":shared_offset");
       }
       const std::uint64_t off = f.shared_offset;
       const std::uint64_t n = co_await fs_.transfer(node_, f, off, bytes,

@@ -2,8 +2,22 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace paraio::sim {
+
+void Engine::reject_delay(SimDuration delay) {
+  throw std::invalid_argument("sim::Engine: cannot schedule after delay " +
+                              std::to_string(delay) +
+                              " s (must be finite and >= 0)");
+}
+
+void Engine::reject_time(SimTime when) const {
+  throw std::invalid_argument("sim::Engine: cannot schedule at t=" +
+                              std::to_string(when) + " s (now is " +
+                              std::to_string(now_) +
+                              " s; must be finite and >= now)");
+}
 
 void Engine::note_task_finished(void* engine) noexcept {
   ++static_cast<Engine*>(engine)->finished_unreaped_;

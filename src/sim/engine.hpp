@@ -53,14 +53,18 @@ class Engine {
   /// Current simulated time in seconds.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` after `delay` seconds of simulated time.
+  /// Schedules `action` after `delay` seconds of simulated time.  Throws
+  /// std::invalid_argument for a negative, NaN or infinite delay.
   EventId call_in(SimDuration delay, EventQueue::Action action) {
+    if (!(delay >= 0.0 && delay < kTimeInfinity)) reject_delay(delay);
     if (observer_) observer_->on_schedule(now_, now_ + delay);
     return queue_.schedule(now_ + delay, std::move(action));
   }
 
-  /// Schedules `action` at absolute simulated time `when` (>= now()).
+  /// Schedules `action` at absolute simulated time `when`.  Throws
+  /// std::invalid_argument unless now() <= when < infinity (NaN included).
   EventId call_at(SimTime when, EventQueue::Action action) {
+    if (!(when >= now_ && when < kTimeInfinity)) reject_time(when);
     if (observer_) observer_->on_schedule(now_, when);
     return queue_.schedule(when, std::move(action));
   }
@@ -125,7 +129,8 @@ class Engine {
   }
 
   /// Awaitable that suspends the current task for `delay` simulated seconds.
-  /// Usage: `co_await engine.delay(sim::milliseconds(17));`
+  /// Usage: `co_await engine.delay(sim::milliseconds(17));`  A delay that
+  /// call_in() rejects throws from the co_await.
   [[nodiscard]] auto delay(SimDuration d) {
     struct Awaiter {
       Engine& engine;
@@ -147,6 +152,8 @@ class Engine {
   [[nodiscard]] auto yield() { return delay(0.0); }
 
  private:
+  [[noreturn]] static void reject_delay(SimDuration delay);
+  [[noreturn]] void reject_time(SimTime when) const;
   void reap_finished();
   /// Completion hook installed on every spawned task (see Task's
   /// set_on_complete): counts finished-but-unreaped tasks so reaping can be

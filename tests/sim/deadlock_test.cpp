@@ -33,20 +33,20 @@ TEST(DeadlockDetector, TwoMutexAbbaCycleReported) {
     det.lock_wait(t1, &a, "mutex-a");
     co_await a.lock();
     det.lock_acquired(t1, &a, "mutex-a");
-    co_await engine.delay(1.0);  // paraio-lint: allow(lock-across-suspension)
+    co_await engine.delay(1.0);
     det.lock_wait(t1, &b, "mutex-b");
     // never resumes: t2 holds b, waits on a (the shape under test)
-    co_await b.lock();  // paraio-lint: allow(lock-across-suspension,lock-order)
+    co_await b.lock();
     det.lock_acquired(t1, &b, "mutex-b");
   };
   auto ba = [&]() -> Task<> {
     det.lock_wait(t2, &b, "mutex-b");
     co_await b.lock();
     det.lock_acquired(t2, &b, "mutex-b");
-    co_await engine.delay(1.0);  // paraio-lint: allow(lock-across-suspension)
+    co_await engine.delay(1.0);
     det.lock_wait(t2, &a, "mutex-a");
     // never resumes (the other half of the AB/BA cycle under test)
-    co_await a.lock();  // paraio-lint: allow(lock-across-suspension,lock-order)
+    co_await a.lock();
     det.lock_acquired(t2, &a, "mutex-a");
   };
   engine.spawn(ab());
@@ -83,11 +83,11 @@ TEST(DeadlockDetector, ChannelSelfDeadlockReported) {
 
   auto loop = [&]() -> Task<> {
     det.send_wait(t, &ch, "loopback-queue");
-    co_await ch.send(1);  // paraio-lint: allow(channel-self-deadlock)
+    co_await ch.send(1);
     det.send_done(t, &ch);
     det.send_wait(t, &ch, "loopback-queue");
     // buffer full; the only receiver is us (the self-deadlock under test)
-    co_await ch.send(2);  // paraio-lint: allow(channel-self-deadlock)
+    co_await ch.send(2);
     det.send_done(t, &ch);
     (void)co_await ch.recv();
   };
@@ -140,7 +140,7 @@ TEST(DeadlockDetector, OrderInversionCaughtOnLuckyRun) {
     det.lock_acquired(t, &a, "mutex-a");
     det.lock_wait(t, &b, "mutex-b");
     // nested ordered acquisition, released promptly (benign by design)
-    co_await b.lock();  // paraio-lint: allow(lock-across-suspension,lock-order)
+    co_await b.lock();
     det.lock_acquired(t, &b, "mutex-b");
     b.unlock();
     det.lock_released(t, &b);
@@ -152,7 +152,7 @@ TEST(DeadlockDetector, OrderInversionCaughtOnLuckyRun) {
     det.lock_acquired(t, &b, "mutex-b");
     det.lock_wait(t, &a, "mutex-a");
     // reversed order on purpose: the detector must flag this schedule
-    co_await a.lock();  // paraio-lint: allow(lock-across-suspension,lock-order)
+    co_await a.lock();
     det.lock_acquired(t, &a, "mutex-a");
     a.unlock();
     det.lock_released(t, &a);

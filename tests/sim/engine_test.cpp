@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -36,6 +37,45 @@ TEST(Engine, CallAtSchedulesAbsolute) {
   e.call_at(1.0, [&] { times.push_back(e.now()); });
   e.run();
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0}));
+}
+
+// Impossible schedules are refused in every build type, not only where
+// asserts are compiled in: a negative delay would run time backwards and a
+// NaN one would make now() NaN.
+TEST(Engine, CallInRejectsNegativeNanAndInfiniteDelays) {
+  Engine e;
+  for (const double bad : {-3.0, std::numeric_limits<double>::quiet_NaN(),
+                           kTimeInfinity}) {
+    EXPECT_THROW(e.call_in(bad, [] {}), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(e.pending_events(), 0u);
+  EXPECT_DOUBLE_EQ(e.run(), 0.0);
+}
+
+TEST(Engine, CallAtRejectsThePast) {
+  Engine e;
+  e.call_in(5.0, [] {});
+  e.run();
+  EXPECT_THROW(e.call_at(4.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(e.call_at(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(e.pending_events(), 0u);
+  e.call_at(5.0, [] {});  // now() itself is allowed
+  EXPECT_DOUBLE_EQ(e.run(), 5.0);
+}
+
+TEST(Engine, NegativeDelayInTaskRethrowsFromRun) {
+  Engine e;
+  bool resumed = false;
+  auto proc = [](Engine& eng, bool& flag) -> Task<> {
+    co_await eng.delay(2.0);
+    co_await eng.delay(-1.0);
+    flag = true;
+  };
+  e.spawn(proc(e, resumed));
+  EXPECT_THROW(e.run(), std::invalid_argument);
+  EXPECT_FALSE(resumed);
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
 }
 
 TEST(Engine, NestedSchedulingFromCallback) {

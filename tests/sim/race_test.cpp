@@ -46,7 +46,7 @@ Task<> guarded_writer(Engine& engine, RaceDetector& det, TaskId id,
   co_await engine.delay(1.0);
   co_await mutex.lock();
   // RaceDetector bookkeeping, not a Semaphore awaitable:
-  det.acquire(id, &mutex);  // paraio-lint: allow(missing-co-await)
+  det.acquire(id, &mutex);
   det.write(id, "counter");
   det.release(id, &mutex);
   mutex.unlock();

@@ -121,7 +121,7 @@ TEST(Mutex, MutualExclusion) {
     ++inside;
     max_inside = std::max(max_inside, inside);
     // held across the delay on purpose: the test measures FIFO handoff
-    co_await eng.delay(1.0);  // paraio-lint: allow(lock-across-suspension)
+    co_await eng.delay(1.0);
     --inside;
     m.unlock();
   };

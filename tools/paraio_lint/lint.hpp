@@ -3,36 +3,24 @@
 // A deliberately small, token/heuristic-based linter (no libclang): it knows
 // nothing about C++ semantics beyond comment/string stripping, balanced
 // template arguments, and line structure, but that is enough to catch the
-// bug classes that break the golden-trace guarantee:
+// bug classes that no compiler flag or runtime detector covers:
 //
 //   * determinism hazards  — iteration over unordered containers in
 //     trace-affecting code, wall-clock reads, raw libc randomness,
 //     pointer-keyed ordered containers;
-//   * coroutine-lifetime hazards — captures in coroutine lambdas, awaitables
-//     constructed and dropped without co_await, discarded Task<T> results,
-//     stack-local references escaping into detached coroutines;
-//   * concurrency hazards — lock-acquisition order cycles across the whole
-//     tree, a channel sent and received by the same task;
+//   * coroutine-lifetime hazards — captures in temporary coroutine lambdas,
+//     stack-local addresses escaping into detached coroutines;
+//   * swallowed I/O errors — a typed *Outcome result dropped on the floor;
 //   * layering violations — a lower simulator layer including a higher one,
 //     or apps reaching past the hw::Machine facade into device internals.
 //
-// The linter runs in four passes.  Pass 1 (index_project) builds a
-// whole-program symbol table: container variables declared unordered
-// anywhere (including through `using`/`typedef` aliases), every function
-// returning sim::Task<...> in any translation unit, channel declarations
-// with their boundedness, the cross-file lock-acquisition graph, and the
-// names of coroutines handed to detached spawns.  Pass 2 builds a
-// per-function statement-level control-flow graph (cfg.hpp) and runs
-// forward dataflow over it (dataflow.hpp).  Pass 3 builds a whole-program
-// call graph over those CFGs (callgraph.hpp) and computes bottom-up
-// function summaries over its SCC condensation (summaries.hpp) — may-
-// suspend, net lock effect, taint transfer, parameter escape — plus the
-// cross-LP shared-state audit.  Pass 4 (lint_file) applies the per-file
-// checks — token-level and flow-sensitive, now summary-aware at call
-// sites — against that global knowledge, so a Task<> coroutine declared
-// in one file and discarded in another is still caught, a reference read
-// after a co_await is only flagged when a suspension actually dominates
-// it, and a lock handed to a suspending callee is still seen.
+// The linter runs in two passes.  Pass 1 (index_project) gathers the few
+// cross-file facts the checks need: container variables declared unordered
+// anywhere (including through `using`/`typedef` aliases, resolved to a
+// fixpoint) and every function returning an *Outcome type.  Pass 2
+// (lint_file) runs the one-pass token checks over each file against that
+// index, so a member declared unordered in a header is still recognized
+// when its .cpp iterates it.
 //
 // Findings print in compiler format (`file:line:col: error: [id] message`)
 // and can be suppressed per line with `// paraio-lint: allow(<id>[,<id>...])`.
@@ -40,14 +28,10 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "paraio_lint/callgraph.hpp"
-#include "paraio_lint/summaries.hpp"
 
 namespace paraio::lint {
 
@@ -90,7 +74,6 @@ struct Finding {
   Severity severity = Severity::kError;
   std::string message;
   bool suppressed = false;  // inline `// paraio-lint: allow(...)`
-  bool baselined = false;   // matched a `--baseline=` SARIF entry
 };
 
 /// One source file loaded into memory.
@@ -106,99 +89,24 @@ struct ProjectIndex {
   /// its .cpp iterates it.
   std::set<std::string> unordered_names;
 
-  /// Per file: Task-returning function/method names declared there (used
-  /// with sibling-file visibility, where the match is precise).
-  std::vector<std::pair<std::string, std::set<std::string>>> task_fns;
-  /// Whole-program union of Task-returning names, minus names that some
-  /// file also declares with a non-Task return type (those stay
-  /// sibling-only: a global match on an ambiguous name like `run` would
-  /// misfire on every class that has a non-coroutine `run()`).
-  std::set<std::string> global_task_fns;
-
   /// Whole-program names of functions whose declared return type is (or
   /// wraps, as in sim::Task<io::IoOutcome>) an identifier ending in
   /// "Outcome" — the typed I/O error channel a call site must inspect.
   std::set<std::string> outcome_fns;
-
-  /// Channel variables by declared boundedness (kUnbounded => unbounded).
-  std::set<std::string> bounded_channels;
-  std::set<std::string> unbounded_channels;
-
-  /// Cross-file lock-acquisition graph: one edge per "acquired `to` while
-  /// holding `from`" site, with the acquiring location.
-  struct LockEdge {
-    std::string from;
-    std::string to;
-    std::string file;
-    std::size_t line = 0;
-    std::size_t col = 0;
-  };
-  std::vector<LockEdge> lock_edges;
-
-  /// Whole-program findings (currently lock-order cycles), computed once at
-  /// index time and emitted by lint_file for the file they name.
-  std::vector<Finding> global_findings;
-
-  /// Names of coroutines handed to a *detached* spawn
-  /// (`engine.spawn(name(...))` / `spawn_daemon(name(...))`) anywhere in
-  /// the tree.  Their frames outlive the caller's stack, so the
-  /// suspension-lifetime check treats their reference/pointer parameters
-  /// as dangling once a suspension point has passed.
-  std::set<std::string> detached_fns;
-
-  /// Pass 3 artifacts: the whole-program call graph, one FunctionSummary
-  /// per call-graph function (indexed like `call_graph.fns`), and the
-  /// cross-LP shared-state audit report (findings are folded into
-  /// `global_findings`; the ranked text lives here for `--lp-report`).
-  CallGraph call_graph;
-  std::vector<FunctionSummary> summaries;
-  std::string lp_report;
 };
 
-struct Options {
-  std::set<std::string> disabled;  // check ids turned off globally
-};
+/// Pass 1: build the cross-file index.
+ProjectIndex index_project(const std::vector<SourceFile>& files);
 
-/// Aggregate statistics for one lint run, accumulated across files by the
-/// driver.  `dataflow_bailouts` must stay zero: a capped solve means a
-/// non-monotone transfer function (a linter bug), and the driver reports it
-/// as an internal error rather than shipping a silently-truncated analysis.
-struct LintRunStats {
-  std::size_t functions = 0;         // function CFGs built
-  std::size_t dataflow_solves = 0;   // fixpoint solves run
-  std::size_t dataflow_bailouts = 0; // solves stopped by the iteration cap
-};
-
-/// Whole-program analysis statistics for `--stats`: per-pass wall time and
-/// the call-graph/summary shape.
-struct AnalysisStats {
-  double index_ms = 0.0;    // pass 1: symbol index
-  double cfg_ms = 0.0;      // pass 2: CFG construction (all files)
-  double summary_ms = 0.0;  // pass 3: call graph + summaries + LP audit
-  std::size_t call_graph_fns = 0;
-  std::size_t call_graph_edges = 0;
-  std::size_t unresolved_calls = 0;
-  std::size_t scc_count = 0;
-  std::size_t max_fixpoint_iterations = 0;
-};
-
-/// Passes 1–3: build the cross-file index, the per-file CFGs, the call
-/// graph, the function summaries, and the cross-LP audit.
-ProjectIndex index_project(const std::vector<SourceFile>& files,
-                           AnalysisStats* stats = nullptr);
-
-/// Pass 4: lint one file (CFG construction, dataflow, checks).
-/// Returns every finding, including suppressed ones (callers count them
-/// separately).  `stats`, when given, accumulates across calls.
+/// Pass 2: run every check over one file.  Returns every finding,
+/// including suppressed ones (callers count them separately).
 std::vector<Finding> lint_file(const SourceFile& file,
-                               const ProjectIndex& index,
-                               const Options& options,
-                               LintRunStats* stats = nullptr);
+                               const ProjectIndex& index);
 
 /// Collapses findings that share (check, file, line, col) — a header
 /// linted through several translation units reports once.  Keeps the
-/// first of each group (input order otherwise preserved); a suppressed or
-/// baselined duplicate never shadows an active finding.
+/// first of each group (input order otherwise preserved); a suppressed
+/// duplicate never shadows an active finding.
 void dedupe_findings(std::vector<Finding>* findings);
 
 /// The `--check-docs` two-way gate against an already-loaded document:

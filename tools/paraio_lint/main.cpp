@@ -1,24 +1,16 @@
 // paraio_lint command-line driver.
 //
-//   paraio_lint [--werror] [--disable=id[,id...]] [--exclude=sub[,sub...]]
-//               [--sarif=path] [--baseline=path] [--lp-report=path]
-//               [--stats] [--check-docs=path] [--list-checks]
-//               [--explain <id>] paths...
+//   paraio_lint [--werror] [--exclude=sub[,sub...]] [--check-docs=path]
+//               [--list-checks] [--explain <id>] paths...
 //
 // Paths may be files or directories (searched recursively for
 // .hpp/.h/.cpp/.cc); `--exclude=` drops any collected path containing one
 // of the given substrings (e.g. `--exclude=fixtures` when linting tests/).
-// Findings print to stdout in compiler format (`file:line:col:`); with
-// --sarif= the run is also written as a SARIF 2.1.0 log (self-validated
-// before writing).  `--baseline=` accepts a previous SARIF log: findings
-// matching it on (rule, file) are demoted to externally-suppressed, and
-// baseline entries matching nothing fail the run as stale.  `--lp-report=`
-// writes the ranked cross-LP shared-state audit; `--stats` prints per-pass
-// wall time and the call-graph/summary shape to stderr.
+// Findings print to stdout in compiler format (`file:line:col:`).
 //
-// Exit codes are stable (ExitCode in lint.hpp): 0 clean, 1 findings /
-// stale baseline / doc drift, 2 usage, IO, or internal errors.
-// `--explain` and `--check-docs` follow the same contract.
+// Exit codes are stable (ExitCode in lint.hpp): 0 clean, 1 findings or
+// doc drift, 2 usage, IO, or internal errors.  `--explain` and
+// `--check-docs` follow the same contract.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -27,10 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
-#include "paraio_lint/baseline.hpp"
 #include "paraio_lint/lint.hpp"
-#include "paraio_lint/sarif.hpp"
 
 namespace fs = std::filesystem;
 using paraio::lint::Finding;
@@ -47,10 +36,9 @@ bool lintable(const fs::path& p) {
 }
 
 int usage() {
-  std::cerr << "usage: paraio_lint [--werror] [--disable=id[,id...]] "
-               "[--exclude=sub[,sub...]] [--sarif=path] [--baseline=path] "
-               "[--lp-report=path] [--stats] [--check-docs=path] "
-               "[--list-checks] [--explain <id>] <file-or-dir>...\n";
+  std::cerr << "usage: paraio_lint [--werror] [--exclude=sub[,sub...]] "
+               "[--check-docs=path] [--list-checks] [--explain <id>] "
+               "<file-or-dir>...\n";
   return kExitInternalError;
 }
 
@@ -92,29 +80,13 @@ int check_docs(const std::string& path) {
 
 int main(int argc, char** argv) {
   bool werror = false;
-  bool print_stats = false;
-  paraio::lint::Options options;
   std::vector<std::string> roots;
   std::vector<std::string> excludes;
-  std::string sarif_path;
-  std::string baseline_path;
-  std::string lp_report_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--werror") {
       werror = true;
-    } else if (arg == "--stats") {
-      print_stats = true;
-    } else if (arg.rfind("--sarif=", 0) == 0) {
-      sarif_path = arg.substr(8);
-      if (sarif_path.empty()) return usage();
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-      if (baseline_path.empty()) return usage();
-    } else if (arg.rfind("--lp-report=", 0) == 0) {
-      lp_report_path = arg.substr(12);
-      if (lp_report_path.empty()) return usage();
     } else if (arg.rfind("--check-docs=", 0) == 0) {
       return check_docs(arg.substr(13));
     } else if (arg == "--list-checks") {
@@ -129,10 +101,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--explain") {
       if (i + 1 >= argc) return usage();
       return explain(argv[i + 1]);
-    } else if (arg.rfind("--disable=", 0) == 0) {
-      std::vector<std::string> ids;
-      split_commas(arg.substr(10), &ids);
-      options.disabled.insert(ids.begin(), ids.end());
     } else if (arg.rfind("--exclude=", 0) == 0) {
       split_commas(arg.substr(10), &excludes);
     } else if (arg.rfind("--", 0) == 0) {
@@ -181,49 +149,23 @@ int main(int argc, char** argv) {
     files.push_back({p, buf.str()});
   }
 
-  std::vector<paraio::lint::BaselineEntry> baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "paraio_lint: cannot read baseline " << baseline_path
-                << "\n";
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    baseline = paraio::lint::parse_baseline(buf.str());
-  }
-
-  paraio::lint::AnalysisStats analysis_stats;
-  const auto index = paraio::lint::index_project(files, &analysis_stats);
-  paraio::lint::LintRunStats stats;
+  const auto index = paraio::lint::index_project(files);
   std::vector<Finding> all;
   for (const auto& file : files) {
-    for (Finding& f :
-         paraio::lint::lint_file(file, index, options, &stats)) {
+    for (Finding& f : paraio::lint::lint_file(file, index)) {
       all.push_back(std::move(f));
     }
   }
   // A header linted through several translation units reports each site
-  // once: dedupe before the baseline is matched or anything is emitted.
+  // once.
   paraio::lint::dedupe_findings(&all);
-
-  std::vector<paraio::lint::BaselineEntry> stale;
-  if (!baseline_path.empty()) {
-    stale = paraio::lint::apply_baseline(baseline, &all);
-  }
 
   std::size_t errors = 0;
   std::size_t warnings = 0;
   std::size_t suppressed = 0;
-  std::size_t baselined = 0;
   for (const Finding& f : all) {
     if (f.suppressed) {
       ++suppressed;
-      continue;
-    }
-    if (f.baselined) {
-      ++baselined;
       continue;
     }
     const bool is_error = f.severity == Severity::kError;
@@ -232,60 +174,9 @@ int main(int argc, char** argv) {
               << ": " << (is_error ? "error" : "warning") << ": [" << f.check
               << "] " << f.message << "\n";
   }
-  for (const auto& entry : stale) {
-    std::cerr << "paraio_lint: stale baseline entry: " << entry.rule << " @ "
-              << entry.uri << " matches no current finding; delete it from "
-              << baseline_path << "\n";
-  }
-  std::cerr << "paraio_lint: " << files.size() << " file(s), "
-            << stats.functions << " function(s), " << stats.dataflow_solves
-            << " dataflow solve(s), " << errors << " error(s), " << warnings
-            << " warning(s), " << suppressed << " suppressed, " << baselined
-            << " baselined\n";
-  if (print_stats) {
-    std::cerr << "paraio_lint: pass timings: index "
-              << analysis_stats.index_ms << " ms, cfg "
-              << analysis_stats.cfg_ms << " ms, summaries "
-              << analysis_stats.summary_ms << " ms\n"
-              << "paraio_lint: call graph: " << analysis_stats.call_graph_fns
-              << " function(s), " << analysis_stats.call_graph_edges
-              << " edge(s), " << analysis_stats.unresolved_calls
-              << " unresolved call(s), " << analysis_stats.scc_count
-              << " SCC(s), max fixpoint iterations "
-              << analysis_stats.max_fixpoint_iterations << "\n";
-  }
-  if (stats.dataflow_bailouts > 0) {
-    std::cerr << "paraio_lint: internal error: " << stats.dataflow_bailouts
-              << " dataflow solve(s) hit the iteration cap before fixpoint "
-                 "(non-monotone transfer?)\n";
-    return kExitInternalError;
-  }
-  if (!lp_report_path.empty()) {
-    std::ofstream out(lp_report_path, std::ios::binary);
-    out << index.lp_report;
-    if (!out) {
-      std::cerr << "paraio_lint: cannot write " << lp_report_path << "\n";
-      return kExitInternalError;
-    }
-  }
-  if (!sarif_path.empty()) {
-    const std::string sarif = paraio::lint::to_sarif(all);
-    std::string why;
-    if (!paraio::obs::validate_json(sarif, &why)) {
-      std::cerr << "paraio_lint: internal error: SARIF output is not valid "
-                   "JSON: "
-                << why << "\n";
-      return kExitInternalError;
-    }
-    std::ofstream out(sarif_path, std::ios::binary);
-    out << sarif << "\n";
-    if (!out) {
-      std::cerr << "paraio_lint: cannot write " << sarif_path << "\n";
-      return kExitInternalError;
-    }
-  }
-  if (errors > 0 || (werror && warnings > 0) || !stale.empty()) {
-    return kExitFindings;
-  }
+  std::cerr << "paraio_lint: " << files.size() << " file(s), " << errors
+            << " error(s), " << warnings << " warning(s), " << suppressed
+            << " suppressed\n";
+  if (errors > 0 || (werror && warnings > 0)) return kExitFindings;
   return kExitClean;
 }

@@ -1,6 +1,6 @@
-// Token-level text helpers shared by the linter's passes (index, CFG,
-// checks).  Everything operates on comment/string-stripped source, offsets
-// are bytes, lines and columns are 1-based.
+// Token-level text helpers shared by the linter's index pass and checks.
+// Everything operates on comment/string-stripped source, offsets are bytes,
+// lines and columns are 1-based.
 #pragma once
 
 #include <algorithm>
@@ -60,19 +60,6 @@ inline std::size_t skip_balanced(const std::string& text, std::size_t open,
   return std::string::npos;
 }
 
-/// Opener position matching the closer at `close`, scanning backward.
-/// Returns npos when unbalanced.
-inline std::size_t rskip_balanced(const std::string& text, std::size_t close,
-                                  char open_ch, char close_ch) {
-  int depth = 0;
-  for (std::size_t i = close + 1; i > 0;) {
-    --i;
-    if (text[i] == close_ch) ++depth;
-    if (text[i] == open_ch && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
 inline std::size_t skip_spaces(const std::string& text, std::size_t pos) {
   while (pos < text.size() &&
          (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n')) {
@@ -123,21 +110,6 @@ inline std::vector<std::size_t> find_word(const std::string& text,
     pos = after;
   }
   return out;
-}
-
-/// Whether `word` occurs as a whole identifier within [lo, hi).
-inline bool has_word_in(const std::string& text, std::size_t lo,
-                        std::size_t hi, std::string_view word) {
-  std::size_t pos = lo;
-  while (pos < hi && (pos = text.find(word, pos)) != std::string::npos) {
-    if (pos + word.size() > hi) return false;
-    const bool left_ok = pos == 0 || !is_ident(text[pos - 1]);
-    const std::size_t after = pos + word.size();
-    const bool right_ok = after >= text.size() || !is_ident(text[after]);
-    if (left_ok && right_ok) return true;
-    pos = after;
-  }
-  return false;
 }
 
 /// Final identifier of an expression like `fs_.inflight_`, `this->buffers_`,
