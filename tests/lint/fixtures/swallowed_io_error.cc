@@ -23,7 +23,7 @@ struct Array {
 
 inline sim::Task<> drive(Array& array) {
   co_await array.access(0, 4096);  // violation: outcome dropped despite await
-  array.access(0, 512);            // violation (discarded-task fires too)
+  array.access(0, 512);            // violation: task and outcome dropped
   array.flush();                   // violation: plain call, outcome dropped
   co_await array.access(0, 64);    // paraio-lint: allow(swallowed-io-error)
   const DiskOutcome r = co_await array.access(0, 128);  // clean: bound
