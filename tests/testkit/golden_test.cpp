@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 
+#include "obs/chrome.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pablo/sddf.hpp"
@@ -49,7 +51,8 @@ std::uint64_t hash_sddf(const pablo::Trace& trace) {
 }
 
 /// Pins the metrics dump of an observed run (registry + tracer + a 5 s
-/// sampler): every counter, gauge, histogram and sample the layers publish.
+/// sampler): every counter, gauge, histogram and sample the layers publish,
+/// and the Chrome trace rendered from the same tracer and registry.
 void check_metrics_digest(const std::string& key_prefix,
                           core::ExperimentConfig config) {
   obs::Registry registry;
@@ -59,9 +62,13 @@ void check_metrics_digest(const std::string& key_prefix,
   config.hooks.sample_period = 5.0;
   const core::ExperimentResult result = core::run_experiment(config);
   ASSERT_GT(result.trace.size(), 0u);
-  const auto error = store().check(key_prefix + ".metrics",
-                                   hash_hex(hash_text(registry.dump_text())));
-  EXPECT_FALSE(error.has_value()) << *error;
+  for (const auto& [suffix, text] :
+       {std::pair{".metrics", registry.dump_text()},
+        std::pair{".chrome", obs::chrome_trace_text(tracer, &registry)}}) {
+    const auto error =
+        store().check(key_prefix + suffix, hash_hex(hash_text(text)));
+    EXPECT_FALSE(error.has_value()) << *error;
+  }
 }
 
 core::ExperimentConfig golden_escat_ppfs() {
