@@ -30,9 +30,13 @@
 #               bounds UB cheaply, and keeps a sanitizer prong alive on
 #               hosts where ASan shadow memory is unavailable; the
 #               checkpoint/crash-recovery suites ride along since log
-#               checksum folding is integer-heavy, and the SDDF codec
+#               checksum folding is integer-heavy, the SDDF codec
 #               suites (Sddf, Consistency, GoldenTrace) since the
-#               hex-float codec is shift- and bit-cast-heavy.
+#               hex-float codec is shift- and bit-cast-heavy, and the obs
+#               suites (ChromeTrace, FormatDouble, Registry, Sampler,
+#               Tracer, ExperimentObs, ValidateJson) since the metrics
+#               dump and Chrome exporter render into fixed-size
+#               std::to_chars buffers.
 #   7. asan   — the same suite under AddressSanitizer + UBSanitizer.
 #
 #   ./ci.sh            # all stages
@@ -144,15 +148,15 @@ if [[ "${1:-}" != "--fast" ]]; then
 
   # --- ubsan stage ---------------------------------------------------------
   # UBSan alone: no shadow memory, ~no slowdown, so the tier-1 kernel subset
-  # (event queue, engine, sync, hardware, striping, lint, SDDF codec) runs
-  # as its own prong; UB that ASan's instrumentation happens to mask still
-  # traps.
+  # (event queue, engine, sync, hardware, striping, lint, SDDF codec, obs
+  # export) runs as its own prong; UB that ASan's instrumentation happens to
+  # mask still traps.
   echo "== ubsan: tier-1 subset under PARAIO_SANITIZE=undefined =="
   cmake -B build-ubsan -S . -DPARAIO_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPARAIO_WERROR=ON
   cmake --build build-ubsan -j "${jobs}"
   ctest --test-dir build-ubsan --output-on-failure -j "${jobs}" \
-    -R 'EventQueue|Engine|Task|Sync|Semaphore|Mutex|Barrier|Latch|Disk|Raid|Network|Stripe|Lint|Ckpt|CrashRecovery|Sddf|Consistency|GoldenTrace'
+    -R 'EventQueue|Engine|Task|Sync|Semaphore|Mutex|Barrier|Latch|Disk|Raid|Network|Stripe|Lint|Ckpt|CrashRecovery|Sddf|Consistency|GoldenTrace|ChromeTrace|FormatDouble|Registry|Sampler|Tracer|ExperimentObs|ValidateJson'
 
   run_stage build-asan -DPARAIO_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPARAIO_WERROR=ON

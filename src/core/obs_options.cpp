@@ -53,7 +53,7 @@ bool ObsOptions::finish() {
       std::cerr << "error: cannot open " << metrics_path_ << "\n";
       return false;
     }
-    registry_.dump(out);
+    out << registry_.dump_text();
   }
   if (!chrome_path_.empty()) {
     const std::string json = obs::chrome_trace_text(tracer_, &registry_);

@@ -8,10 +8,11 @@
 //   tid  <- Track::track    (one per device/server/role within the node)
 //   "M"  <- process/track names registered on the Tracer
 //   "X"  <- closed spans (ts/dur in microseconds of simulated time)
-//   "C"  <- registry snapshot samples (one counter series per metric)
+//   "i"  <- instant markers (faults, recovery events)
+//   "C"  <- registry snapshot samples (one counter series per metric);
+//           non-finite values are left out, since JSON cannot hold them
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "obs/json.hpp"  // validate_json lives there; re-exported for callers
@@ -20,14 +21,10 @@
 
 namespace paraio::obs {
 
-/// Writes `{"traceEvents":[...]}`.  Output is byte-deterministic for
+/// Renders `{"traceEvents":[...]}`.  Output is byte-deterministic for
 /// identical tracer/registry contents.  Open (never-ended) spans are
 /// skipped.  `registry` may be null; when set, its snapshot samples become
 /// "C" counter events.
-void write_chrome_trace(std::ostream& out, const Tracer& tracer,
-                        const Registry* registry = nullptr);
-
-/// Convenience: render to a string (tests, determinism comparisons).
 [[nodiscard]] std::string chrome_trace_text(const Tracer& tracer,
                                             const Registry* registry = nullptr);
 

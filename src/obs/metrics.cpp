@@ -1,32 +1,37 @@
 #include "obs/metrics.hpp"
 
-#include <cstdio>
+#include <cstddef>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "obs/text.hpp"
 
 namespace paraio::obs {
 
 std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void Histogram::print(std::ostream& out) const {
-  out << "count=" << count_ << " sum=" << sum_ << " min=" << min_
-      << " max=" << max_ << " buckets=";
-  bool first = true;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    if (buckets_[b] == 0) continue;
-    if (!first) out << ',';
-    out << b << ':' << buckets_[b];
-    first = false;
-  }
-  if (first) out << '-';
+  std::string text;
+  append_g9(text, v);
+  return text;
 }
 
 namespace {
+
+/// Dump lines average under 40 bytes.  Reserving once avoids copying the
+/// dump at every doubling; an underestimate costs one reallocation.
+constexpr std::size_t kBytesPerLine = 48;
+
+void append_histogram(std::string& out, const Histogram& h) {
+  append(out, "count=", h.count(), " sum=", h.sum(), " min=", h.min(),
+         " max=", h.max(), " buckets=");
+  bool first = true;
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    if (h.buckets()[b] == 0) continue;
+    if (!first) out += ',';
+    append(out, b, ':', h.buckets()[b]);
+    first = false;
+  }
+  if (first) out += '-';
+}
 
 template <typename Map>
 typename Map::mapped_type& slot(Map& map, std::string_view name) {
@@ -47,6 +52,12 @@ const typename Map::mapped_type& find_series(const Map& map,
 }
 
 }  // namespace
+
+void Histogram::print(std::ostream& out) const {
+  std::string text;
+  append_histogram(text, *this);
+  out << text;
+}
 
 void Registry::bind(std::string_view name, const std::uint64_t& field) {
   slot(counters_, name).bind(&field, nullptr);
@@ -86,29 +97,28 @@ const Series<Histogram>& Registry::histogram(std::string_view name) const {
   return find_series(histograms_, name);
 }
 
-void Registry::dump(std::ostream& out) const {
-  out << "# paraio metrics v1\n";
+std::string Registry::dump_text() const {
+  std::string out;
+  out.reserve(kBytesPerLine * (counters_.size() + gauges_.size() +
+                               histograms_.size() + samples_.size()));
+  out += "# paraio metrics v1\n";
   for (const auto& [name, c] : counters_) {
-    out << "counter " << name << ' ' << c.value() << '\n';
+    append(out, "counter ", name, ' ', c.value(), '\n');
   }
   for (const auto& [name, g] : gauges_) {
-    out << "gauge " << name << ' ' << format_double(g.value()) << '\n';
+    append(out, "gauge ", name, ' ', G9{g.value()}, '\n');
   }
   for (const auto& [name, h] : histograms_) {
-    out << "histogram " << name << ' ';
-    h.value().print(out);
-    out << '\n';
+    append(out, "histogram ", name, ' ');
+    append_histogram(out, h.value());
+    out += '\n';
   }
+  RepeatedValueText<append_g9> time_text;
   for (const Sample& s : samples_) {
-    out << "sample " << format_double(s.time) << ' ' << *s.name << ' '
-        << format_double(s.value) << '\n';
+    append(out, "sample ", time_text(s.time), ' ', *s.name, ' ', G9{s.value},
+           '\n');
   }
-}
-
-std::string Registry::dump_text() const {
-  std::ostringstream out;
-  dump(out);
-  return out.str();
+  return out;
 }
 
 Sampler::Sampler(sim::Engine& engine, Registry& registry,

@@ -178,7 +178,6 @@ class Registry {
   /// Deterministic plain-text dump: metrics sorted by name, then the
   /// snapshot series in recording order.  Identical runs produce
   /// byte-identical output.
-  void dump(std::ostream& out) const;
   [[nodiscard]] std::string dump_text() const;
 
  private:
@@ -222,8 +221,8 @@ class Sampler final : public sim::EngineObserver {
   sim::EngineObserver* chained_;
 };
 
-/// Deterministic rendering for doubles in dumps and exports: %.9g via
-/// snprintf, which is byte-stable for identical values.
+/// Deterministic rendering for doubles in dumps and exports: exactly what
+/// printf("%.9g") writes, produced with std::to_chars.
 [[nodiscard]] std::string format_double(double v);
 
 }  // namespace paraio::obs

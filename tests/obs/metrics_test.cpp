@@ -2,12 +2,15 @@
 // deterministic text dump, and the chained-observer sampler.
 #include "obs/metrics.hpp"
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "double_corpus.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
@@ -162,6 +165,20 @@ TEST(FormatDouble, StableRendering) {
   EXPECT_EQ(format_double(0.0), "0");
   EXPECT_EQ(format_double(1.5), "1.5");
   EXPECT_EQ(format_double(0.1), "0.1");
+}
+
+TEST(FormatDouble, MatchesSnprintfOverRandomBitPatterns) {
+  std::size_t mismatches = 0;
+  for (const double v : double_corpus()) {
+    char expected[64];
+    std::snprintf(expected, sizeof expected, "%.9g", v);
+    const std::string got = format_double(v);
+    if (got != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": " << got << " vs " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

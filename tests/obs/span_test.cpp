@@ -2,12 +2,18 @@
 // trace-event exporter (shape, determinism, JSON validity).
 #include "obs/span.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "double_corpus.hpp"
 #include "obs/chrome.hpp"
 #include "obs/metrics.hpp"
+#include "obs/text.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
@@ -131,11 +137,66 @@ TEST(ChromeTrace, OpenSpansAreSkipped) {
 
 TEST(ChromeTrace, EscapesSpanNames) {
   Tracer tracer;
-  tracer.complete({0, 0}, "quote\" backslash\\ tab\t", 0.0, 1.0);
+  tracer.complete({0, 0}, "quote\" backslash\\ tab\t bell\a unit\x1f", 0.0,
+                  1.0);
   const std::string json = chrome_trace_text(tracer, nullptr);
-  EXPECT_NE(json.find("quote\\\" backslash\\\\ tab\\t"), std::string::npos);
+  EXPECT_NE(
+      json.find("quote\\\" backslash\\\\ tab\\t bell\\u0007 unit\\u001f"),
+      std::string::npos);
   std::string error;
   EXPECT_TRUE(validate_json(json, &error)) << error;
+}
+
+// The "ts"/"dur" fields: microseconds, printf("%.3f", seconds * 1e6).
+TEST(ChromeTrace, MicrosecondFieldMatchesSnprintf) {
+  std::size_t mismatches = 0;
+  // Fixed notation of DBL_MAX needs 309 integer digits.
+  char expected[400];
+  for (const double seconds : double_corpus()) {
+    std::snprintf(expected, sizeof expected, "%.3f", seconds * 1e6);
+    std::string got;
+    append_micros(got, seconds);
+    if (got != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::hex
+                    << std::bit_cast<std::uint64_t>(seconds) << ": " << got
+                    << " vs " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// A bound double can hold NaN or infinity; JSON has no such numbers, so the
+// exporter leaves those samples out while the metrics dump keeps them.
+TEST(ChromeTrace, NonFiniteSampleStaysValidJson) {
+  Tracer tracer;
+  Registry registry;
+  const double nan_value = std::numeric_limits<double>::quiet_NaN();
+  const double inf_value = std::numeric_limits<double>::infinity();
+  const double neg_inf_value = -inf_value;
+  const double finite_value = 2.5;
+  registry.bind("g.nan", nan_value);
+  registry.bind("g.inf", inf_value);
+  registry.bind("g.neg_inf", neg_inf_value);
+  registry.bind("g.finite", finite_value);
+  sim::Engine engine;
+  {
+    Sampler sampler(engine, registry, 1.0);
+    engine.run();
+  }
+  ASSERT_EQ(registry.samples().size(), 4u);
+
+  const std::string json = chrome_trace_text(tracer, &registry);
+  std::string error;
+  EXPECT_TRUE(validate_json(json, &error)) << error;
+  EXPECT_NE(json.find("\"g.finite\""), std::string::npos);
+  EXPECT_EQ(json.find("\"g.nan\""), std::string::npos);
+  EXPECT_EQ(json.find("\"g.inf\""), std::string::npos);
+  EXPECT_EQ(json.find("\"g.neg_inf\""), std::string::npos);
+
+  const std::string dump = registry.dump_text();
+  EXPECT_NE(dump.find("sample 0 g.nan nan\n"), std::string::npos);
+  EXPECT_NE(dump.find("sample 0 g.inf inf\n"), std::string::npos);
+  EXPECT_NE(dump.find("sample 0 g.neg_inf -inf\n"), std::string::npos);
 }
 
 TEST(ValidateJson, AcceptsValidDocuments) {

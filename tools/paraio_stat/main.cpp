@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: cannot open " << opt.metrics_path << "\n";
       return 1;
     }
-    registry.dump(out);
+    out << registry.dump_text();
     std::printf("\nmetrics dump written to %s\n", opt.metrics_path.c_str());
   }
   if (!opt.chrome_path.empty()) {
