@@ -4,7 +4,11 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "sim/sync.hpp"
+#include "sim/task_group.hpp"
 
 namespace paraio::sim {
 namespace {
@@ -206,6 +210,117 @@ TEST(Engine, DeterministicAcrossRuns) {
     return times;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+using Log = std::vector<std::string>;
+
+Task<> log_after_event(Engine& eng, Event& ev, Log& log, std::string name) {
+  co_await ev.wait();
+  log.push_back(name);
+  co_await eng.yield();
+  log.push_back(name + "+yield");
+}
+
+Task<> log_after_acquire(Semaphore& sem, Log& log, std::string name) {
+  co_await sem.acquire();
+  log.push_back(name);
+}
+
+Task<> log_after_join(TaskGroup& group, Log& log, std::string name) {
+  co_await group.join();
+  log.push_back(name);
+}
+
+Task<> log_after_wait(Event& ev, Log& log, std::string name) {
+  co_await ev.wait();
+  log.push_back(name);
+}
+
+/// Counts what the kernel reports to observers.
+class CountingObserver final : public EngineObserver {
+ public:
+  void on_schedule(SimTime now, SimTime when) override {
+    (void)now;
+    (void)when;
+    ++schedules;
+  }
+  void on_event(SimTime when) override {
+    (void)when;
+    ++events;
+  }
+  std::size_t schedules = 0;
+  std::size_t events = 0;
+};
+
+// Under the default tie-break (seed 0) events at one instant fire in the
+// order they were scheduled, whatever scheduled them: generic callbacks
+// (call_in(0.0), call_at(now())) and coroutine wake-ups (Event::set,
+// Semaphore::release, the TaskGroup join, yield()) share one FIFO.  Entries
+// already due at now() when the instant began fire first (they were
+// scheduled earlier), events scheduled while the instant drains queue
+// behind everything already there, and time advances only after that.
+TEST(Engine, SameInstantEventsFireInScheduleOrder) {
+  Engine e;
+  CountingObserver counts;
+  e.set_observer(&counts);
+  Event ev(e);
+  Event go(e);
+  Semaphore sem(e, 0);
+  TaskGroup group(e);
+  Log log;
+  auto note = [&log, &e](const char* name) {
+    return [&log, &e, name] {
+      EXPECT_DOUBLE_EQ(e.now(), 1.0) << name;
+      log.emplace_back(name);
+    };
+  };
+
+  e.spawn(log_after_event(e, ev, log, "event"));
+  e.spawn(log_after_acquire(sem, log, "semaphore"));
+  group.spawn(log_after_wait(go, log, "child"));
+  e.spawn(log_after_join(group, log, "join"));
+  EXPECT_EQ(e.pending_events(), 0u);
+
+  EventId cancelled{};
+  e.call_at(1.0, [&] {
+    log.emplace_back("A");
+    e.call_at(1.5, [&log] { log.emplace_back("later"); });
+    ev.set();
+    e.call_in(0.0, note("call_in"));
+    sem.release();
+    e.call_at(e.now(), note("call_at"));
+    go.set();
+    cancelled = e.call_in(0.0, note("cancelled"));
+    e.call_in(0.0, [&, nested = note("nested")] {
+      log.emplace_back("call_in-2");
+      e.call_in(0.0, nested);
+    });
+  });
+  // Scheduled before the instant begins, so already due when A runs.
+  e.call_at(1.0, [&] {
+    log.emplace_back("D");
+    e.call_in(0.0, note("from-D"));
+  });
+
+  ASSERT_TRUE(e.step());  // A
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+  // D, later, and six same-instant events (the seventh is cancelled).
+  EXPECT_EQ(e.pending_events(), 9u);
+  EXPECT_TRUE(e.cancel(cancelled));
+  EXPECT_FALSE(e.cancel(cancelled));
+  EXPECT_EQ(e.pending_events(), 8u);
+
+  e.run();
+  EXPECT_EQ(log, (Log{"A", "D", "event", "call_in", "semaphore", "call_at",
+                      "child", "call_in-2", "from-D", "event+yield", "join",
+                      "nested", "later"}));
+  EXPECT_DOUBLE_EQ(e.now(), 1.5);
+  EXPECT_EQ(e.pending_events(), 0u);
+  EXPECT_EQ(e.live_tasks(), 0u);
+  EXPECT_EQ(counts.events, e.events_executed());
+  EXPECT_EQ(counts.events, log.size());
+  // Every executed event was scheduled once, plus the cancelled one.
+  EXPECT_EQ(counts.schedules, counts.events + 1);
 }
 
 }  // namespace
