@@ -156,6 +156,34 @@ std::pair<double, double> semaphore_contention() {
   return {static_cast<double>(e.events_executed()), e.now()};
 }
 
+// The production hand-off shape: 512 processes wake in groups of 64 at
+// shared instants and pass one semaphore around (acquire, yield, release),
+// while the other groups' timers stay pending in the queue behind them.
+// Every hand-off and yield is a same-instant wake-up arriving after those
+// pending future events, as a freed NIC, server or array is handed to the
+// next waiter in ESCAT's synchronized bursts.
+std::pair<double, double> handoff_under_timers() {
+  constexpr int kProcs = 512;
+  constexpr int kGroups = 8;
+  constexpr int kRounds = 20;
+  sim::Engine e;
+  sim::Semaphore sem(e, 1);
+  auto proc = [](sim::Engine& eng, sim::Semaphore& s,
+                 double period) -> sim::Task<> {
+    for (int r = 0; r < kRounds; ++r) {
+      co_await eng.delay(period);
+      co_await s.acquire();
+      co_await eng.yield();
+      s.release();
+    }
+  };
+  for (int p = 0; p < kProcs; ++p) {
+    e.spawn(proc(e, sem, 1.0 + 0.125 * static_cast<double>(p % kGroups)));
+  }
+  e.run();
+  return {static_cast<double>(e.events_executed()), e.now()};
+}
+
 // Spawn-heavy fork/join shape: short-lived coroutines created in waves, the
 // allocation-rate stress for coroutine frames.
 std::pair<double, double> spawn_waves() {
@@ -193,6 +221,7 @@ constexpr Scenario kScenarios[] = {
     {"channel_pingpong_10k", &channel_pingpong},
     {"semaphore_contention_64x16", &semaphore_contention},
     {"spawn_waves_200x256", &spawn_waves},
+    {"handoff_under_timers_512x20", &handoff_under_timers},
 };
 
 /// Runs `s` repeatedly until at least `min_wall_ms` of host time has been

@@ -52,7 +52,7 @@ void ScheduledArray::admit_next() {
   auto handle = waiting_[index].handle;
   waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(index));
   // busy_ stays true: ownership passes to the admitted waiter.
-  engine_.call_in(0.0, [handle] { handle.resume(); });
+  engine_.wake(handle);
 }
 
 sim::Task<DiskOutcome> ScheduledArray::access(std::uint64_t offset,

@@ -46,7 +46,7 @@ class TurnGate {
     if (it != waiting_.end()) {
       auto h = it->second;
       waiting_.erase(it);
-      engine_.call_in(0.0, [h] { h.resume(); });
+      engine_.wake(h);
     }
   }
 

@@ -1,7 +1,8 @@
 // Small-buffer move-only callable for scheduled events.
 //
-// Every event the kernel schedules carries a callable, and nearly all of
-// them are a captured coroutine handle (`[h] { h.resume(); }` — 8 bytes).
+// Every pooled event carries a callable, and nearly all of them are a
+// timer's captured coroutine handle (`[h] { h.resume(); }` — 8 bytes);
+// same-instant wake-ups skip the pool (see EventQueue's lane).
 // std::function is the wrong container for that hot path: it requires
 // copyability, may heap-allocate, and drags in RTTI-ish dispatch machinery.
 // Action stores callables up to kInlineSize bytes inline with a three-entry

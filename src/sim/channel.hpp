@@ -110,7 +110,7 @@ class Channel {
     r.slot->emplace(std::move(items_.front()));
     items_.pop_front();
     auto h = r.handle;
-    engine_.call_in(0.0, [h] { h.resume(); });
+    engine_.wake(h);
     promote_sender();
   }
 
@@ -121,7 +121,7 @@ class Channel {
     senders_.pop_front();
     items_.push_back(std::move(*s.value));
     auto h = s.handle;
-    engine_.call_in(0.0, [h] { h.resume(); });
+    engine_.wake(h);
     wake_receiver();
   }
 

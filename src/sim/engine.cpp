@@ -15,82 +15,82 @@ void Engine::reject_delay(SimDuration delay) {
 void Engine::reject_time(SimTime when) const {
   throw std::invalid_argument("sim::Engine: cannot schedule at t=" +
                               std::to_string(when) + " s (now is " +
-                              std::to_string(now_) +
+                              std::to_string(now()) +
                               " s; must be finite and >= now)");
 }
 
-void Engine::note_task_finished(void* engine) noexcept {
-  ++static_cast<Engine*>(engine)->finished_unreaped_;
+void Engine::note_task_finished(void* process) noexcept {
+  auto* p = static_cast<Process*>(process);
+  p->engine->finished_.push_back(p);
+  if (!p->daemon) --p->engine->live_tasks_;
 }
 
-void Engine::spawn(Task<> task) {
-  assert(task.valid());
-  detached_.push_back(std::move(task));
-  Task<>& t = detached_.back();
-  t.set_on_complete(&Engine::note_task_finished, this);
-  t.start();
-  if (finished_unreaped_ >= kReapBatch) reap_finished();
-}
+void Engine::spawn(Task<> task) { adopt(std::move(task), false); }
 
-void Engine::spawn_daemon(Task<> task) {
+void Engine::spawn_daemon(Task<> task) { adopt(std::move(task), true); }
+
+void Engine::adopt(Task<> task, bool daemon) {
   assert(task.valid());
-  daemons_.push_back(std::move(task));
-  Task<>& t = daemons_.back();
-  t.set_on_complete(&Engine::note_task_finished, this);
-  t.start();
-  if (finished_unreaped_ >= kReapBatch) reap_finished();
+  Process* p = free_processes_;
+  if (p != nullptr) {
+    free_processes_ = p->next_free;
+  } else {
+    p = &processes_.emplace_back();
+    p->engine = this;
+  }
+  p->task = std::move(task);
+  p->daemon = daemon;
+  if (!daemon) ++live_tasks_;
+  p->task.set_on_complete(&Engine::note_task_finished, p);
+  p->task.start();
+  if (!finished_.empty()) reap_finished();
 }
 
 void Engine::reap_finished() {
-  finished_unreaped_ = 0;
-  for (auto* list : {&detached_, &daemons_}) {
-    for (auto it = list->begin(); it != list->end();) {
-      if (it->done()) {
-        it->result();  // rethrows if the detached task failed
-        it = list->erase(it);
-      } else {
-        ++it;
-      }
+  for (std::size_t i = 0; i < finished_.size(); ++i) {
+    Process& p = *finished_[i];
+    Task<> task = std::move(p.task);  // destroys the frame on scope exit
+    p.next_free = free_processes_;
+    free_processes_ = &p;
+    if (task.failed()) {
+      finished_.erase(finished_.begin(),
+                      finished_.begin() + static_cast<std::ptrdiff_t>(i + 1));
+      task.result();  // rethrows the detached task's exception
     }
   }
+  finished_.clear();
 }
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  auto [when, action] = queue_.pop();
-  assert(when >= now_ && "event scheduled in the past");
-  now_ = when;
+  auto [when, due] = queue_.pop();
   ++executed_;
   if (observer_) observer_->on_event(when);
-  action();
-  // Reaping scans the task lists, so amortize it: only once enough tasks
-  // have finished (their completion hooks count for us).  Failures surface
-  // by the end of run() at the latest.
-  if (finished_unreaped_ >= kReapBatch) reap_finished();
+  due();
+  // Finished tasks hand themselves over through their completion hooks;
+  // failures surface from the step that finished them.
+  if (!finished_.empty()) reap_finished();
   return true;
 }
 
 SimTime Engine::run() {
   while (step()) {
   }
-  reap_finished();
+  if (!finished_.empty()) reap_finished();
   if (observer_) {
-    observer_->on_run_complete(now_, queue_.size(), live_tasks());
+    observer_->on_run_complete(now(), queue_.size(), live_tasks());
   }
-  return now_;
+  return now();
 }
 
 SimTime Engine::run_until(SimTime deadline) {
   while (!queue_.empty() && queue_.next_time() <= deadline) {
     step();
   }
-  reap_finished();
-  if (now_ < deadline && !queue_.empty()) {
-    now_ = deadline;
-  } else if (queue_.empty() && now_ < deadline) {
-    // Queue drained before the deadline; time stops at the last event.
-  }
-  return now_;
+  if (!finished_.empty()) reap_finished();
+  // If the queue drained first, time stops at the last event.
+  if (now() < deadline && !queue_.empty()) queue_.advance_to(deadline);
+  return now();
 }
 
 }  // namespace paraio::sim

@@ -5,9 +5,11 @@
 // single-threaded; determinism comes from the EventQueue's FIFO tie-break.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <list>
+#include <deque>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
@@ -51,22 +53,31 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time in seconds.
-  [[nodiscard]] SimTime now() const noexcept { return now_; }
+  [[nodiscard]] SimTime now() const noexcept { return queue_.now(); }
 
   /// Schedules `action` after `delay` seconds of simulated time.  Throws
   /// std::invalid_argument for a negative, NaN or infinite delay.
   EventId call_in(SimDuration delay, EventQueue::Action action) {
     if (!(delay >= 0.0 && delay < kTimeInfinity)) reject_delay(delay);
-    if (observer_) observer_->on_schedule(now_, now_ + delay);
-    return queue_.schedule(now_ + delay, std::move(action));
+    if (observer_) observer_->on_schedule(now(), now() + delay);
+    return queue_.schedule(now() + delay, std::move(action));
   }
 
   /// Schedules `action` at absolute simulated time `when`.  Throws
   /// std::invalid_argument unless now() <= when < infinity (NaN included).
   EventId call_at(SimTime when, EventQueue::Action action) {
-    if (!(when >= now_ && when < kTimeInfinity)) reject_time(when);
-    if (observer_) observer_->on_schedule(now_, when);
+    if (!(when >= now() && when < kTimeInfinity)) reject_time(when);
+    if (observer_) observer_->on_schedule(now(), when);
     return queue_.schedule(when, std::move(action));
+  }
+
+  /// Resumes `h` at now(), after every event already scheduled for this
+  /// instant: the O(1) path for synchronization primitives handing a
+  /// resource to a waiter.  Same order and observer hooks as a call_in(0.0)
+  /// callback that resumes `h`, without the pooled action.
+  void wake(std::coroutine_handle<> h) {
+    if (observer_) observer_->on_schedule(now(), now());
+    queue_.schedule_resume(h);
   }
 
   /// Cancels a pending callback.  Returns true if it had not yet fired.
@@ -106,21 +117,16 @@ class Engine {
   /// event that will never fire — the queue-drain invariant the testkit
   /// checks.  Daemons (spawn_daemon) are expected to outlive the queue and
   /// are not counted.
-  [[nodiscard]] std::size_t live_tasks() const {
-    std::size_t n = 0;
-    for (const auto& task : detached_) {
-      if (!task.done()) ++n;
-    }
-    return n;
-  }
+  [[nodiscard]] std::size_t live_tasks() const noexcept { return live_tasks_; }
 
   /// Attaches (or, with nullptr, detaches) the kernel observer.
   void set_observer(EngineObserver* observer) { observer_ = observer; }
   [[nodiscard]] EngineObserver* observer() const noexcept { return observer_; }
 
   /// Seeds the same-instant tie-break permutation (see
-  /// EventQueue::set_tie_break_seed).  Call before any event is scheduled;
-  /// seed 0 is the default FIFO order the golden traces are recorded under.
+  /// EventQueue::set_tie_break_seed).  Throws std::logic_error while any
+  /// event is pending; seed 0 is the default FIFO order the golden traces
+  /// are recorded under.
   void set_tie_break_seed(std::uint64_t seed) {
     queue_.set_tie_break_seed(seed);
   }
@@ -139,7 +145,11 @@ class Engine {
       // deterministic yield point, not a no-op.
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        engine.call_in(dur, [h] { h.resume(); });
+        if (dur == 0.0) {
+          engine.wake(h);
+        } else {
+          engine.call_in(dur, [h] { h.resume(); });
+        }
       }
       void await_resume() const noexcept {}
     };
@@ -152,23 +162,33 @@ class Engine {
   [[nodiscard]] auto yield() { return delay(0.0); }
 
  private:
+  /// A spawned task, owned by the engine until it finishes.  Records live
+  /// in a deque (stable addresses) and are recycled through a free list.
+  struct Process {
+    Task<> task;
+    Engine* engine = nullptr;
+    Process* next_free = nullptr;
+    bool daemon = false;
+  };
+
   [[noreturn]] static void reject_delay(SimDuration delay);
   [[noreturn]] void reject_time(SimTime when) const;
+  void adopt(Task<> task, bool daemon);
   void reap_finished();
   /// Completion hook installed on every spawned task (see Task's
-  /// set_on_complete): counts finished-but-unreaped tasks so reaping can be
-  /// batched instead of scanning the task lists every spawn/step.
-  static void note_task_finished(void* engine) noexcept;
+  /// set_on_complete): hands the finished process to reap_finished(), so
+  /// reaping never looks at a task that is still running.
+  static void note_task_finished(void* process) noexcept;
 
-  static constexpr std::size_t kReapBatch = 32;
-
-  SimTime now_ = 0.0;
   EventQueue queue_;
-  std::list<Task<>> detached_;
-  std::list<Task<>> daemons_;
   std::uint64_t executed_ = 0;
-  std::size_t finished_unreaped_ = 0;
   EngineObserver* observer_ = nullptr;
+  // Declared after queue_ so unfinished tasks are destroyed first: a frame's
+  // destructors may still schedule.
+  std::deque<Process> processes_;
+  Process* free_processes_ = nullptr;
+  std::vector<Process*> finished_;
+  std::size_t live_tasks_ = 0;
 };
 
 }  // namespace paraio::sim

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace paraio::sim {
 
@@ -32,34 +34,58 @@ bool EventQueue::all_same_when(const std::vector<Entry>& entries) noexcept {
 }
 
 void EventQueue::set_tie_break_seed(std::uint64_t seed) {
-  assert(empty() && "tie-break seed must be set while the queue is empty");
+  if (!empty()) {
+    throw std::logic_error(
+        "sim::EventQueue: the tie-break seed must be set while no event is "
+        "pending (" + std::to_string(size()) + " pending)");
+  }
   tie_seed_ = seed;
 }
 
-std::uint32_t EventQueue::acquire_slot(Action action) {
+void EventQueue::advance_to(SimTime when) {
+  assert(lane_live_ == 0 && when >= now_);
+  assert(live_ == 0 || bottom_[bottom_head_].when >= when);
+  now_ = when;
+}
+
+std::uint32_t EventQueue::acquire_slot(Action action, bool in_lane) {
   if (free_head_ != kNoSlot) {
     const std::uint32_t s = free_head_;
     free_head_ = slots_[s].next_free;
     slots_[s].action = std::move(action);
+    slots_[s].in_lane = in_lane;
     return s;
   }
   const auto s = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(Slot{std::move(action), 1, kNoSlot});
+  slots_.push_back(Slot{std::move(action), 1, kNoSlot, in_lane});
   return s;
 }
 
 void EventQueue::release_slot(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.action = Action();  // release captured resources eagerly
-  ++s.gen;              // tombstones any entry still in the ladder
+  ++s.gen;              // tombstones any entry still in the ladder or lane
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
+EventQueue::Action EventQueue::take_action(std::uint32_t slot) noexcept {
+  Action action = std::move(slots_[slot].action);
+  release_slot(slot);
+  return action;
+}
+
 EventId EventQueue::schedule(SimTime when, Action action) {
+  assert(when >= now_ && "event scheduled in the past");
   const std::uint64_t seq = next_seq_++;
+  if (when == now_ && tie_seed_ == 0) {
+    const std::uint32_t slot = acquire_slot(std::move(action), true);
+    const std::uint64_t gen = slots_[slot].gen;
+    push_lane(LaneEntry{{}, gen, slot});
+    return EventId{seq, gen, slot};
+  }
   const std::uint64_t key = tie_seed_ == 0 ? seq : mix64(seq ^ tie_seed_);
-  const std::uint32_t slot = acquire_slot(std::move(action));
+  const std::uint32_t slot = acquire_slot(std::move(action), false);
   const Entry e{when, key, slots_[slot].gen, slot};
   ++live_;
   route(e);
@@ -70,31 +96,49 @@ EventId EventQueue::schedule(SimTime when, Action action) {
   return EventId{seq, e.gen, slot};
 }
 
+void EventQueue::compact_lane() noexcept {
+  // Drop the popped prefix once it dominates, so an instant that never
+  // drains (processes yielding to each other) keeps the lane O(live).
+  lane_.erase(lane_.begin(),
+              lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+  lane_head_ = 0;
+}
+
+void EventQueue::clear_lane() noexcept {
+  lane_.clear();
+  lane_head_ = 0;
+}
+
 bool EventQueue::cancel(EventId id) {
   if (id.slot >= slots_.size()) return false;
   if (slots_[id.slot].gen != id.gen) return false;  // already fired/cancelled
+  const bool in_lane = slots_[id.slot].in_lane;
   release_slot(id.slot);
-  --live_;
-  refill();  // the cancelled event may have been bottom's earliest
+  if (in_lane) {
+    if (--lane_live_ == 0) clear_lane();
+  } else {
+    --live_;
+    refill();  // the cancelled event may have been bottom's earliest
+  }
   return true;
 }
 
 SimTime EventQueue::next_time() const {
-  assert(live_ > 0 && "next_time() on empty queue");
+  assert(!empty() && "next_time() on empty queue");
+  if (lane_live_ > 0) return now_;
   assert(!bottom_empty() && is_live(bottom_[bottom_head_]));
   return bottom_[bottom_head_].when;
 }
 
-std::pair<SimTime, EventQueue::Action> EventQueue::pop() {
-  assert(live_ > 0 && "pop() on empty queue");
+EventQueue::Due EventQueue::pop_ladder() {
   assert(!bottom_empty() && is_live(bottom_[bottom_head_]));
   const Entry e = bottom_[bottom_head_];
   ++bottom_head_;
-  Action action = std::move(slots_[e.slot].action);
-  release_slot(e.slot);
+  now_ = e.when;
+  Due due{{}, take_action(e.slot)};
   --live_;
   refill();
-  return {e.when, std::move(action)};
+  return due;
 }
 
 // --- routing ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "sim/heap_queue.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace paraio::sim {
 
@@ -18,7 +19,11 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 void HeapEventQueue::set_tie_break_seed(std::uint64_t seed) {
-  assert(empty() && "tie-break seed must be set while the queue is empty");
+  if (!empty()) {
+    throw std::logic_error(
+        "sim::HeapEventQueue: the tie-break seed must be set while no event "
+        "is pending");
+  }
   tie_seed_ = seed;
 }
 

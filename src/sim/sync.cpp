@@ -6,7 +6,7 @@ void Event::set() {
   set_ = true;
   // Resume through the event queue so set() never re-enters user code.
   for (auto h : waiters_) {
-    engine_.call_in(0.0, [h] { h.resume(); });
+    engine_.wake(h);
   }
   waiters_.clear();
 }
@@ -16,7 +16,7 @@ void Semaphore::release(std::size_t n) {
     if (!waiters_.empty()) {
       auto h = waiters_.front();
       waiters_.pop_front();
-      engine_.call_in(0.0, [h] { h.resume(); });
+      engine_.wake(h);
     } else {
       ++count_;
     }
@@ -27,7 +27,7 @@ void Barrier::release_all() {
   ++generation_;
   arrived_ = 0;
   for (auto h : waiters_) {
-    engine_.call_in(0.0, [h] { h.resume(); });
+    engine_.wake(h);
   }
   waiters_.clear();
 }

@@ -1,6 +1,6 @@
 // Awaitable synchronization primitives for simulation processes.
 //
-// All primitives resume waiters through the engine's event queue (at the
+// All primitives resume waiters through Engine::wake (an event at the
 // current instant) rather than inline, so a `set()` or `release()` never
 // re-enters user code synchronously and wake-up order is deterministic FIFO.
 #pragma once

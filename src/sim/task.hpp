@@ -33,7 +33,7 @@ struct PromiseBase {
   std::exception_ptr exception;
   /// Completion hook, fired once when the coroutine reaches its final
   /// suspend point (the task is done() from then on).  The Engine registers
-  /// one on detached tasks so it can count finished processes instead of
+  /// one on detached tasks so it learns which processes finished instead of
   /// scanning its whole task list (see Engine::spawn).
   void (*on_complete)(void*) noexcept = nullptr;
   void* on_complete_arg = nullptr;
@@ -132,7 +132,7 @@ class [[nodiscard]] Task {
 
   /// Registers a hook fired when the task reaches its final suspend point
   /// (i.e. the moment done() becomes true).  At most one hook; the Engine
-  /// uses it to batch-reap detached tasks.  Call before start()/awaiting.
+  /// uses it to reap finished detached tasks.  Call before start()/awaiting.
   void set_on_complete(void (*fn)(void*) noexcept, void* arg) noexcept {
     assert(handle_);
     handle_.promise().on_complete = fn;

@@ -52,7 +52,7 @@ class TaskGroup {
     --active_;
     if (active_ == 0) {
       for (auto h : joiners_) {
-        engine_.call_in(0.0, [h] { h.resume(); });
+        engine_.wake(h);
       }
       joiners_.clear();
     }

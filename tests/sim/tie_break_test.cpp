@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -92,6 +93,39 @@ TEST(TieBreak, EngineExposesTheSeed) {
   for (int i = 0; i < 5; ++i) engine.spawn(proc());
   engine.run();
   EXPECT_EQ(ran, 5);
+}
+
+// Keys are stamped when an event is scheduled, and the seed decides whether
+// a same-instant event takes the FIFO lane, so re-seeding with anything
+// pending would mix two orders.  Refused in every build, not only where
+// asserts are compiled in.
+TEST(TieBreak, SeedWithPendingEventsThrows) {
+  Engine engine;
+  const EventId timer = engine.call_in(1.0, [] {});
+  EXPECT_THROW(engine.set_tie_break_seed(7), std::logic_error);
+  EXPECT_EQ(engine.tie_break_seed(), 0u);
+  EXPECT_TRUE(engine.cancel(timer));
+  engine.set_tie_break_seed(7);  // nothing pending again
+  EXPECT_EQ(engine.tie_break_seed(), 7u);
+  engine.set_tie_break_seed(0);
+
+  // A pending same-instant wake-up counts too.
+  bool resumed = false;
+  auto proc = [&]() -> Task<> {
+    co_await engine.yield();
+    resumed = true;
+  };
+  engine.spawn(proc());
+  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_THROW(engine.set_tie_break_seed(3), std::logic_error);
+  engine.run();
+  EXPECT_TRUE(resumed);
+  engine.set_tie_break_seed(3);  // drained
+  EXPECT_EQ(engine.tie_break_seed(), 3u);
+
+  EventQueue q;
+  q.schedule(2.0, [] {});
+  EXPECT_THROW(q.set_tie_break_seed(5), std::logic_error);
 }
 
 }  // namespace
