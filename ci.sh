@@ -11,10 +11,12 @@
 #               build, warnings promoted to errors.
 #   3. verify — the concurrency-verification layer on its own: the
 #               schedule-perturbation checker over the golden suite, the
-#               deadlock-detector tests, and the same-instant ordering
-#               suites (engine, event queue, sync primitives, channel,
-#               task group, golden traces), since that order now spans
-#               the ladder queue and the FIFO wake-up lane.
+#               deadlock- and race-detector tests, the same-instant
+#               ordering suites (engine, event queue, sync primitives,
+#               channel, task group, golden traces), since that order now
+#               spans the ladder queue and the FIFO wake-up lane, and the
+#               sampler suite, since the engine's observer list fixes the
+#               order in which observers hear each event.
 #   4. obs    — paraio_stat on a small ESCAT run: the report must mention
 #               the key signals and the emitted Chrome trace must be valid
 #               JSON (paraio_stat revalidates it before writing and exits
@@ -77,14 +79,16 @@ run_stage build -DPARAIO_WERROR=ON
 # The concurrency-verification layer, run as its own gate so a scheduling
 # or deadlock regression is named directly instead of drowning in the full
 # suite output: schedule-perturbation invariance over the golden
-# configurations, the runtime deadlock detector, the tie-break kernel, and
-# same-instant event order.  That order spans two structures (the ladder
-# queue and the FIFO wake-up lane of src/sim/event_queue.hpp), so the
-# engine, queue, sync-primitive, channel, task-group and golden-trace
-# suites ride here too.
-echo "== verify: schedule perturbation + deadlock detection + event order =="
+# configurations, the runtime deadlock and race detectors, the tie-break
+# kernel, and same-instant event order.  That order spans two structures
+# (the ladder queue and the FIFO wake-up lane of src/sim/event_queue.hpp),
+# so the engine, queue, sync-primitive, channel, task-group and
+# golden-trace suites ride here too.  Observer order (newest first) and
+# the detector slots live in sim::Engine, so the race-detector,
+# race-integration and sampler suites ride along as well.
+echo "== verify: schedule perturbation + deadlock/race detection + event order =="
 ctest --test-dir build --output-on-failure -j "${jobs}" \
-  -R 'Perturb|DeadlockDetector|TieBreak|Engine|EventQueue|Sync|Semaphore|Barrier|Latch|Channel|TaskGroup|GoldenTrace'
+  -R 'Perturb|DeadlockDetector|RaceDetector|RaceIntegration|Sampler|TieBreak|Engine|EventQueue|Sync|Semaphore|Barrier|Latch|Channel|TaskGroup|GoldenTrace'
 
 # --- fault stage -----------------------------------------------------------
 # Fault injection & recovery (docs/FAULTS.md): mid-run disk failure with the

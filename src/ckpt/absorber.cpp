@@ -41,7 +41,7 @@ void WriteAbsorber::attach_observability(obs::Registry* registry,
 sim::Task<> WriteAbsorber::append(std::uint32_t node, std::uint64_t epoch,
                                   std::uint64_t offset, std::uint64_t bytes) {
   sim::Engine& engine = fs_.machine().engine();
-  auto* deadlocks = sim::DeadlockDetector::find(engine);
+  auto* deadlocks = engine.deadlock_detector();
   // Bounded log: wait for the drain to free space before absorbing more.
   // (A chunk larger than the whole capacity is admitted once the log is
   // empty — it can never fit better than that.)
@@ -94,7 +94,7 @@ sim::Task<std::uint64_t> WriteAbsorber::commit(std::uint64_t epoch) {
 
 sim::Task<> WriteAbsorber::drain_daemon() {
   sim::Engine& engine = fs_.machine().engine();
-  auto* deadlocks = sim::DeadlockDetector::find(engine);
+  auto* deadlocks = engine.deadlock_detector();
   sim::DeadlockDetector::TaskId me = 0;
   if (deadlocks) {
     me = deadlocks->task_for_key(std::uint64_t{2} << 32, "ckpt-drain");

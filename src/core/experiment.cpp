@@ -58,21 +58,22 @@ sim::Task<> drive(App& app, io::FileSystem& bare, ExperimentResult& result,
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   sim::Engine engine;
   engine.set_tie_break_seed(config.tie_break_seed);
-  engine.set_observer(config.hooks.engine);
+  if (config.hooks.engine != nullptr) engine.attach(*config.hooks.engine);
   hw::Machine machine(engine, config.machine);
 
   obs::Registry* metrics = config.hooks.metrics;
   obs::Tracer* tracer = config.hooks.tracer;
   if (metrics != nullptr) machine.attach_metrics(*metrics);
   if (tracer != nullptr) tracer->bind(engine);
-  // Chains onto whatever engine observer is already attached; destroyed
+  // Attached after the caller's observer, so notified before it; destroyed
   // before `engine` goes out of scope.
   std::optional<obs::Sampler> sampler;
   if (metrics != nullptr && config.hooks.sample_period > 0.0) {
     sampler.emplace(engine, *metrics, config.hooks.sample_period);
   }
-  // Fault injector chains like the sampler.  With an empty plan it only
-  // forwards observer callbacks, which keeps the run bit-identical.
+  // Attached after the sampler, so a fault lands before the sampler
+  // snapshots the same event.  An empty plan applies nothing, which keeps
+  // the run bit-identical.
   std::optional<fault::FaultInjector> injector;
   if (config.attach_fault_layer || !config.fault_plan.empty()) {
     injector.emplace(engine, machine, config.fault_plan, metrics, tracer);

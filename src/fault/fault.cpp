@@ -39,7 +39,6 @@ FaultInjector::FaultInjector(sim::Engine& engine, hw::Machine& machine,
     : engine_(engine),
       machine_(machine),
       plan_(std::move(plan)),
-      chained_(engine.observer()),
       metrics_(metrics),
       tracer_(tracer) {
   // Stable so same-instant plan entries keep their authored order.
@@ -50,24 +49,10 @@ FaultInjector::FaultInjector(sim::Engine& engine, hw::Machine& machine,
   // stream only while a loss window is active, so an empty plan stays
   // byte-identical to an unattached injector.
   machine_.net().set_fault_seed(plan_.seed);
-  engine_.set_observer(this);
+  engine_.attach(*this);
 }
 
-FaultInjector::~FaultInjector() {
-  if (engine_.observer() == this) engine_.set_observer(chained_);
-}
-
-FaultInjector* FaultInjector::find(sim::Engine& engine) {
-  for (sim::EngineObserver* o = engine.observer(); o != nullptr;
-       o = o->chained()) {
-    if (auto* injector = dynamic_cast<FaultInjector*>(o)) return injector;
-  }
-  return nullptr;
-}
-
-void FaultInjector::on_schedule(sim::SimTime now, sim::SimTime when) {
-  if (chained_ != nullptr) chained_->on_schedule(now, when);
-}
+FaultInjector::~FaultInjector() { engine_.detach(*this); }
 
 void FaultInjector::on_event(sim::SimTime when) {
   // Apply every plan entry that is due before this event executes: faults
@@ -76,15 +61,6 @@ void FaultInjector::on_event(sim::SimTime when) {
   while (cursor_ < plan_.events.size() && plan_.events[cursor_].at <= when) {
     apply(plan_.events[cursor_]);
     ++cursor_;
-  }
-  if (chained_ != nullptr) chained_->on_event(when);
-}
-
-void FaultInjector::on_run_complete(sim::SimTime now,
-                                    std::size_t pending_events,
-                                    std::size_t live_tasks) {
-  if (chained_ != nullptr) {
-    chained_->on_run_complete(now, pending_events, live_tasks);
   }
 }
 

@@ -10,11 +10,12 @@
 // Design rules (all load-bearing for determinism):
 //  * Schedule-driven, not sampled — every fault fires at a planned simulated
 //    time, so the same plan + seed reproduces bit-identical traces.
-//  * Injection via the chained sim::EngineObserver pattern (the Sampler /
-//    RaceDetector / DeadlockDetector discipline): the injector flips state
-//    on the hardware models from inside on_event() and schedules nothing
-//    itself, so an attached injector with an empty plan is byte-identical
-//    to no injector at all.
+//  * Injection as an attached sim::EngineObserver (like obs::Sampler): the
+//    injector flips state on the hardware models from inside on_event() and
+//    schedules nothing itself, so an attached injector with an empty plan
+//    is byte-identical to no injector at all.  Attach it after the Sampler:
+//    the engine notifies newest first, so a fault lands before the Sampler
+//    snapshots the same event.
 //  * All randomness (loss draws, retry jitter) flows through sim::Rng
 //    streams seeded from the plan/policy, and no stream is drawn from
 //    unless a fault window is actually active.
@@ -107,13 +108,13 @@ struct [[nodiscard]] RecoveryStats {
   std::uint64_t dirty_bytes_lost = 0;
 };
 
-/// Applies a FaultPlan to a machine as simulated time passes.  Chains onto
-/// whatever engine observer is already attached (construction attaches,
-/// destruction restores), exactly like obs::Sampler.  Every applied fault
-/// is counted per kind; when `metrics` is non-null those counts publish as
-/// `fault.injected` and `fault.<kind>` from the kind's first fire (so a run
-/// lists only the kinds it saw), and a non-null `tracer` gets a
-/// Chrome-trace instant marker per fault.
+/// Applies a FaultPlan to a machine as simulated time passes.  Attaches to
+/// the engine as an observer on construction and detaches on destruction,
+/// exactly like obs::Sampler.  Every applied fault is counted per kind;
+/// when `metrics` is non-null those counts publish as `fault.injected` and
+/// `fault.<kind>` from the kind's first fire (so a run lists only the kinds
+/// it saw), and a non-null `tracer` gets a Chrome-trace instant marker per
+/// fault.
 class FaultInjector final : public sim::EngineObserver {
  public:
   FaultInjector(sim::Engine& engine, hw::Machine& machine, FaultPlan plan,
@@ -123,17 +124,7 @@ class FaultInjector final : public sim::EngineObserver {
   FaultInjector& operator=(const FaultInjector&) = delete;
   ~FaultInjector() override;
 
-  [[nodiscard]] sim::EngineObserver* chained() const override {
-    return chained_;
-  }
-
-  /// Finds an injector anywhere in the engine's observer chain.
-  [[nodiscard]] static FaultInjector* find(sim::Engine& engine);
-
-  void on_schedule(sim::SimTime now, sim::SimTime when) override;
   void on_event(sim::SimTime when) override;
-  void on_run_complete(sim::SimTime now, std::size_t pending_events,
-                       std::size_t live_tasks) override;
 
   /// Number of plan events applied so far.
   [[nodiscard]] std::size_t applied() const noexcept { return cursor_; }
@@ -147,7 +138,6 @@ class FaultInjector final : public sim::EngineObserver {
   FaultPlan plan_;  // sorted by `at` on construction
   std::uint64_t cursor_ = 0;
   std::array<std::uint64_t, kFaultKinds> fired_{};  // applied, per kind
-  sim::EngineObserver* chained_ = nullptr;
   obs::Registry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };

@@ -126,18 +126,11 @@ Sampler::Sampler(sim::Engine& engine, Registry& registry,
     : engine_(engine),
       registry_(registry),
       period_(period),
-      next_(engine.now() + period),
-      chained_(engine.observer()) {
-  engine_.set_observer(this);
+      next_(engine.now() + period) {
+  engine_.attach(*this);
 }
 
-Sampler::~Sampler() {
-  if (engine_.observer() == this) engine_.set_observer(chained_);
-}
-
-void Sampler::on_schedule(sim::SimTime now, sim::SimTime when) {
-  if (chained_ != nullptr) chained_->on_schedule(now, when);
-}
+Sampler::~Sampler() { engine_.detach(*this); }
 
 void Sampler::on_event(sim::SimTime when) {
   // Snapshot once per boundary crossed; values are as of the previous
@@ -146,15 +139,13 @@ void Sampler::on_event(sim::SimTime when) {
     snapshot(next_);
     next_ += period_;
   }
-  if (chained_ != nullptr) chained_->on_event(when);
 }
 
 void Sampler::on_run_complete(sim::SimTime now, std::size_t pending_events,
                               std::size_t live_tasks) {
+  (void)pending_events;
+  (void)live_tasks;
   snapshot(now);  // final values, so every series reaches the run end
-  if (chained_ != nullptr) {
-    chained_->on_run_complete(now, pending_events, live_tasks);
-  }
 }
 
 void Sampler::snapshot(sim::SimTime at) {

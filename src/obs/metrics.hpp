@@ -193,12 +193,13 @@ class Registry {
 ///
 /// Deliberately NOT a spawned daemon: a coroutine looping on
 /// `co_await engine.delay(period)` would keep the event queue non-empty so
-/// `Engine::run()` could never drain.  Instead the sampler chains onto the
-/// kernel observer (exactly like sim::RaceDetector) and records a snapshot
-/// whenever event execution first crosses a sample boundary — it injects no
-/// events and consumes no simulated time, so attaching it cannot perturb
-/// trace digests.  Values are read at the first event at-or-after each
-/// boundary; with no events pending, nothing changes, so nothing is missed.
+/// `Engine::run()` could never drain.  Instead the sampler attaches to the
+/// engine as a kernel observer (construction attaches, destruction
+/// detaches) and records a snapshot whenever event execution first crosses
+/// a sample boundary — it injects no events and consumes no simulated
+/// time, so attaching it cannot perturb trace digests.  Values are read at
+/// the first event at-or-after each boundary; with no events pending,
+/// nothing changes, so nothing is missed.
 class Sampler final : public sim::EngineObserver {
  public:
   Sampler(sim::Engine& engine, Registry& registry, sim::SimDuration period);
@@ -206,7 +207,6 @@ class Sampler final : public sim::EngineObserver {
   Sampler& operator=(const Sampler&) = delete;
   ~Sampler() override;
 
-  void on_schedule(sim::SimTime now, sim::SimTime when) override;
   void on_event(sim::SimTime when) override;
   void on_run_complete(sim::SimTime now, std::size_t pending_events,
                        std::size_t live_tasks) override;
@@ -218,7 +218,6 @@ class Sampler final : public sim::EngineObserver {
   Registry& registry_;
   sim::SimDuration period_;
   sim::SimTime next_;
-  sim::EngineObserver* chained_;
 };
 
 /// Deterministic rendering for doubles in dumps and exports: exactly what

@@ -290,7 +290,7 @@ sim::Task<std::uint64_t> PfsFile::transfer_mode_dispatch(std::uint64_t bytes,
       co_await fs_.control_rpc(node_, fs_.meta_ion_of(f),
                                fs_.params().meta_service);
       const sim::SimTime gate_arrival = fs_.machine().engine().now();
-      auto* deadlocks = sim::DeadlockDetector::find(fs_.machine().engine());
+      auto* deadlocks = fs_.machine().engine().deadlock_detector();
       if (deadlocks) {
         deadlocks->lock_wait(deadlocks->task_for_key(node_, "node"),
                              f.token.get(), "pfs:" + f.name + ":token");
@@ -301,7 +301,7 @@ sim::Task<std::uint64_t> PfsFile::transfer_mode_dispatch(std::uint64_t bytes,
                                  f.token.get(), "pfs:" + f.name + ":token");
       }
       fs_.note_mode_wait(fs_.machine().engine().now() - gate_arrival);
-      auto* races = sim::RaceDetector::find(fs_.machine().engine());
+      auto* races = fs_.machine().engine().race_detector();
       if (races) {
         const auto task = races->task_for_key(node_, "node");
         races->acquire(task, f.token.get());
@@ -329,7 +329,7 @@ sim::Task<std::uint64_t> PfsFile::transfer_mode_dispatch(std::uint64_t bytes,
       const sim::SimTime gate_arrival = fs_.machine().engine().now();
       co_await f.turns->await_turn(rank_);
       fs_.note_mode_wait(fs_.machine().engine().now() - gate_arrival);
-      auto* races = sim::RaceDetector::find(fs_.machine().engine());
+      auto* races = fs_.machine().engine().race_detector();
       if (races) {
         const auto task = races->task_for_key(node_, "node");
         races->acquire(task, f.turns.get());

@@ -91,7 +91,7 @@ sim::Task<io::IoOutcome> IonServer::submit(io::NodeId src,
   req.result = std::make_shared<io::IoOutcome>();
   auto done = req.done;
   auto result = req.result;
-  auto* deadlocks = sim::DeadlockDetector::find(machine_.engine());
+  auto* deadlocks = machine_.engine().deadlock_detector();
   if (deadlocks) {
     // The server daemon is the only task that drains this queue and sets
     // the completion event; declare those roles so a wedged submit() is
@@ -133,7 +133,7 @@ sim::Task<io::IoOutcome> IonServer::submit(io::NodeId src,
 sim::Task<> IonServer::serve() {
   for (;;) {
     std::vector<Request> batch;
-    auto* deadlocks = sim::DeadlockDetector::find(machine_.engine());
+    auto* deadlocks = machine_.engine().deadlock_detector();
     if (deadlocks) {
       const auto server = deadlocks->task_for_key(
           (std::uint64_t{1} << 32) | ion_index_, "ion-server");

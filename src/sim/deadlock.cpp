@@ -3,37 +3,30 @@
 #include <algorithm>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 
 namespace paraio::sim {
 
-DeadlockDetector::DeadlockDetector(Engine& engine)
-    : engine_(engine), chained_(engine.observer()) {
-  engine_.set_observer(this);
+DeadlockDetector::DeadlockDetector(Engine& engine) : engine_(engine) {
+  if (engine_.deadlock_detector_ != nullptr) {
+    throw std::logic_error(
+        "sim::DeadlockDetector: the engine already has a deadlock detector");
+  }
+  engine_.deadlock_detector_ = this;
+  engine_.attach(*this);
 }
 
 DeadlockDetector::~DeadlockDetector() {
-  if (engine_.observer() == this) engine_.set_observer(chained_);
-}
-
-DeadlockDetector* DeadlockDetector::find(Engine& engine) {
-  for (EngineObserver* o = engine.observer(); o != nullptr; o = o->chained()) {
-    if (auto* det = dynamic_cast<DeadlockDetector*>(o)) return det;
-  }
-  return nullptr;
-}
-
-void DeadlockDetector::on_schedule(SimTime now, SimTime when) {
-  if (chained_) chained_->on_schedule(now, when);
-}
-
-void DeadlockDetector::on_event(SimTime when) {
-  if (chained_) chained_->on_event(when);
+  engine_.detach(*this);
+  engine_.deadlock_detector_ = nullptr;
 }
 
 void DeadlockDetector::on_run_complete(SimTime now, std::size_t pending_events,
                                        std::size_t live_tasks) {
+  (void)now;
+  (void)pending_events;
+  (void)live_tasks;
   if (!waits_.empty()) finish();
-  if (chained_) chained_->on_run_complete(now, pending_events, live_tasks);
 }
 
 DeadlockDetector::TaskId DeadlockDetector::register_task(std::string name) {

@@ -6,11 +6,12 @@
 // silently loses whatever those tasks were about to do.  The testkit's
 // invariant checker flags the *count*; this detector explains the *cause*.
 //
-// Like sim::RaceDetector, it piggybacks on sim::EngineObserver (chaining to
-// any observer already attached) and learns about blocking through
-// annotations:
+// It attaches to the engine as a sim::EngineObserver (to hear when run()
+// completes) and claims the engine's deadlock-detector slot, through which
+// annotation sites in model code find it; it learns about blocking through
+// those annotations:
 //
-//   sim::DeadlockDetector det(engine);          // attaches, chains, detaches
+//   sim::DeadlockDetector det(engine);          // attaches; detaches on exit
 //   auto t1 = det.register_task("writer");
 //   det.lock_wait(t1, &a, "mutex A");           // before co_await a.lock()
 //   det.lock_acquired(t1, &a, "mutex A");       // after it resumes
@@ -94,22 +95,14 @@ class DeadlockDetector : public EngineObserver {
     std::string site;    // task that closed the cycle
   };
 
-  /// Attaches to `engine`, chaining to (and later restoring) any observer
-  /// already installed.
+  /// Attaches to `engine` and becomes its deadlock_detector() until
+  /// destroyed.  Throws std::logic_error if `engine` already has one.
   explicit DeadlockDetector(Engine& engine);
   ~DeadlockDetector() override;
   DeadlockDetector(const DeadlockDetector&) = delete;
   DeadlockDetector& operator=(const DeadlockDetector&) = delete;
 
-  /// The detector attached to `engine` (anywhere in the observer chain), or
-  /// nullptr.  Annotation sites in production code use this and must stay
-  /// zero-cost when nothing is watching.
-  static DeadlockDetector* find(Engine& engine);
-
   // --- sim::EngineObserver ---
-  [[nodiscard]] EngineObserver* chained() const override { return chained_; }
-  void on_schedule(SimTime now, SimTime when) override;
-  void on_event(SimTime when) override;
   /// Runs the analysis automatically when the queue drains with pending
   /// waiters, so a wedged engine.run() produces a report instead of exiting
   /// silently with stranded coroutines.
@@ -199,7 +192,6 @@ class DeadlockDetector : public EngineObserver {
   [[nodiscard]] std::vector<std::string> held_labels(TaskId task) const;
 
   Engine& engine_;
-  EngineObserver* chained_ = nullptr;
 
   std::vector<std::string> task_names_;
   std::set<TaskId> daemons_;

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,11 @@ void Engine::reject_time(SimTime when) const {
                               std::to_string(when) + " s (now is " +
                               std::to_string(now()) +
                               " s; must be finite and >= now)");
+}
+
+void Engine::detach(EngineObserver& observer) {
+  const auto it = std::find(observers_.begin(), observers_.end(), &observer);
+  if (it != observers_.end()) observers_.erase(it);
 }
 
 void Engine::note_task_finished(void* process) noexcept {
@@ -65,7 +71,9 @@ bool Engine::step() {
   if (queue_.empty()) return false;
   auto [when, due] = queue_.pop();
   ++executed_;
-  if (observer_) observer_->on_event(when);
+  for (auto it = observers_.rbegin(); it != observers_.rend(); ++it) {
+    (*it)->on_event(when);
+  }
   due();
   // Finished tasks hand themselves over through their completion hooks;
   // failures surface from the step that finished them.
@@ -77,8 +85,8 @@ SimTime Engine::run() {
   while (step()) {
   }
   if (!finished_.empty()) reap_finished();
-  if (observer_) {
-    observer_->on_run_complete(now(), queue_.size(), live_tasks());
+  for (auto it = observers_.rbegin(); it != observers_.rend(); ++it) {
+    (*it)->on_run_complete(now(), queue_.size(), live_tasks());
   }
   return now();
 }

@@ -17,18 +17,16 @@
 
 namespace paraio::sim {
 
+class DeadlockDetector;
+class RaceDetector;
+
 /// Observation points on the simulation kernel, intended for debug and test
 /// builds (the testkit's invariant checker implements this).  Hooks cost one
-/// pointer test per event when no observer is attached; production code
+/// emptiness test per event when no observer is attached; production code
 /// simply never attaches one.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
-  /// Next observer in an attach chain.  Detectors that wrap a previously
-  /// attached observer (RaceDetector, DeadlockDetector) override this so
-  /// their find() helpers can locate any detector anywhere in the chain,
-  /// not just the outermost one.
-  [[nodiscard]] virtual EngineObserver* chained() const { return nullptr; }
   /// An event was scheduled for absolute time `when` while now() == `now`.
   virtual void on_schedule(SimTime now, SimTime when) {
     (void)now;
@@ -59,7 +57,7 @@ class Engine {
   /// std::invalid_argument for a negative, NaN or infinite delay.
   EventId call_in(SimDuration delay, EventQueue::Action action) {
     if (!(delay >= 0.0 && delay < kTimeInfinity)) reject_delay(delay);
-    if (observer_) observer_->on_schedule(now(), now() + delay);
+    notify_schedule(now() + delay);
     return queue_.schedule(now() + delay, std::move(action));
   }
 
@@ -67,7 +65,7 @@ class Engine {
   /// std::invalid_argument unless now() <= when < infinity (NaN included).
   EventId call_at(SimTime when, EventQueue::Action action) {
     if (!(when >= now() && when < kTimeInfinity)) reject_time(when);
-    if (observer_) observer_->on_schedule(now(), when);
+    notify_schedule(when);
     return queue_.schedule(when, std::move(action));
   }
 
@@ -76,7 +74,7 @@ class Engine {
   /// resource to a waiter.  Same order and observer hooks as a call_in(0.0)
   /// callback that resumes `h`, without the pooled action.
   void wake(std::coroutine_handle<> h) {
-    if (observer_) observer_->on_schedule(now(), now());
+    notify_schedule(now());
     queue_.schedule_resume(h);
   }
 
@@ -119,9 +117,24 @@ class Engine {
   /// are not counted.
   [[nodiscard]] std::size_t live_tasks() const noexcept { return live_tasks_; }
 
-  /// Attaches (or, with nullptr, detaches) the kernel observer.
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
-  [[nodiscard]] EngineObserver* observer() const noexcept { return observer_; }
+  /// Attaches `observer` until detach(); it must not already be attached.
+  /// Every hook reaches the attached observers newest first, so an observer
+  /// attached later (a FaultInjector) acts on an event before one attached
+  /// earlier (a Sampler) records it.
+  void attach(EngineObserver& observer) { observers_.push_back(&observer); }
+  /// Detaches `observer` wherever it sits in attach order; a no-op if it is
+  /// not attached.
+  void detach(EngineObserver& observer);
+
+  /// The detectors annotation sites in model code report to, or nullptr
+  /// when none is attached.  Each detector claims its slot for its lifetime
+  /// (see DeadlockDetector and RaceDetector).
+  [[nodiscard]] DeadlockDetector* deadlock_detector() const noexcept {
+    return deadlock_detector_;
+  }
+  [[nodiscard]] RaceDetector* race_detector() const noexcept {
+    return race_detector_;
+  }
 
   /// Seeds the same-instant tie-break permutation (see
   /// EventQueue::set_tie_break_seed).  Throws std::logic_error while any
@@ -171,6 +184,14 @@ class Engine {
     bool daemon = false;
   };
 
+  friend class DeadlockDetector;
+  friend class RaceDetector;
+
+  void notify_schedule(SimTime when) {
+    for (auto it = observers_.rbegin(); it != observers_.rend(); ++it) {
+      (*it)->on_schedule(now(), when);
+    }
+  }
   [[noreturn]] static void reject_delay(SimDuration delay);
   [[noreturn]] void reject_time(SimTime when) const;
   void adopt(Task<> task, bool daemon);
@@ -182,7 +203,9 @@ class Engine {
 
   EventQueue queue_;
   std::uint64_t executed_ = 0;
-  EngineObserver* observer_ = nullptr;
+  std::vector<EngineObserver*> observers_;  // attach order
+  DeadlockDetector* deadlock_detector_ = nullptr;
+  RaceDetector* race_detector_ = nullptr;
   // Declared after queue_ so unfinished tasks are destroyed first: a frame's
   // destructors may still schedule.
   std::deque<Process> processes_;

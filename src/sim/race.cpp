@@ -2,38 +2,20 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace paraio::sim {
 
 RaceDetector::RaceDetector(Engine& engine)
-    : engine_(engine), chained_(engine.observer()) {
-  engine_.set_observer(this);
-}
-
-RaceDetector::~RaceDetector() {
-  if (engine_.observer() == this) engine_.set_observer(chained_);
-}
-
-RaceDetector* RaceDetector::find(Engine& engine) {
-  for (EngineObserver* o = engine.observer(); o != nullptr; o = o->chained()) {
-    if (auto* det = dynamic_cast<RaceDetector*>(o)) return det;
+    : engine_(engine), events_at_attach_(engine.events_executed()) {
+  if (engine_.race_detector_ != nullptr) {
+    throw std::logic_error(
+        "sim::RaceDetector: the engine already has a race detector");
   }
-  return nullptr;
+  engine_.race_detector_ = this;
 }
 
-void RaceDetector::on_schedule(SimTime now, SimTime when) {
-  if (chained_) chained_->on_schedule(now, when);
-}
-
-void RaceDetector::on_event(SimTime when) {
-  ++events_seen_;
-  if (chained_) chained_->on_event(when);
-}
-
-void RaceDetector::on_run_complete(SimTime now, std::size_t pending_events,
-                                   std::size_t live_tasks) {
-  if (chained_) chained_->on_run_complete(now, pending_events, live_tasks);
-}
+RaceDetector::~RaceDetector() { engine_.race_detector_ = nullptr; }
 
 RaceDetector::TaskId RaceDetector::register_task(std::string name) {
   const TaskId id = static_cast<TaskId>(task_names_.size());
@@ -56,7 +38,7 @@ RaceDetector::TaskId RaceDetector::task_for_key(std::uint64_t key,
 void RaceDetector::record(TaskId task, AccessKind kind, std::string site) {
   Access a;
   a.time = engine_.now();
-  a.seq = events_seen_;
+  a.seq = engine_.events_executed() - events_at_attach_;
   a.task = task;
   a.kind = kind;
   a.site = std::move(site);

@@ -10,11 +10,12 @@
 // breaks the golden-trace guarantee, so it deserves a detector, not a
 // post-mortem.
 //
-// The detector piggybacks on sim::EngineObserver (chaining to any observer
-// already attached, e.g. the testkit's InvariantChecker) to learn the kernel
-// event sequence, and learns about shared state through annotations:
+// The detector claims the engine's race-detector slot, through which
+// annotation sites in model code find it, stamps each access with the
+// engine's executed-event count, and learns about shared state through
+// annotations:
 //
-//   sim::RaceDetector det(engine);             // attaches, chains, detaches
+//   sim::RaceDetector det(engine);             // attaches; detaches on exit
 //   auto a = det.register_task("writer-a");
 //   ...
 //   det.write(a, "counter");                   // inside task a, at now()
@@ -39,7 +40,7 @@
 
 namespace paraio::sim {
 
-class RaceDetector : public EngineObserver {
+class RaceDetector {
  public:
   using TaskId = std::uint32_t;
   enum class AccessKind : std::uint8_t { kRead, kWrite };
@@ -49,7 +50,7 @@ class RaceDetector : public EngineObserver {
 
   struct Access {
     SimTime time = 0.0;
-    std::uint64_t seq = 0;  // kernel events executed when recorded
+    std::uint64_t seq = 0;  // kernel events executed since attach
     TaskId task = 0;
     AccessKind kind = AccessKind::kRead;
     std::string site;
@@ -63,25 +64,12 @@ class RaceDetector : public EngineObserver {
     Access second;
   };
 
-  /// Attaches to `engine`, chaining to (and later restoring) any observer
-  /// already installed.  Attach the detector last so find() can see it.
+  /// Becomes `engine`'s race_detector() until destroyed.  Throws
+  /// std::logic_error if `engine` already has one.
   explicit RaceDetector(Engine& engine);
-  ~RaceDetector() override;
+  ~RaceDetector();
   RaceDetector(const RaceDetector&) = delete;
   RaceDetector& operator=(const RaceDetector&) = delete;
-
-  /// The detector attached to `engine` (anywhere in the observer chain), or
-  /// nullptr.  Used by annotation sites in production code (e.g. the PFS
-  /// shared-pointer path), which must stay zero-cost when no detector is
-  /// watching.
-  static RaceDetector* find(Engine& engine);
-
-  // --- sim::EngineObserver (forwarded to the chained observer) ---
-  [[nodiscard]] EngineObserver* chained() const override { return chained_; }
-  void on_schedule(SimTime now, SimTime when) override;
-  void on_event(SimTime when) override;
-  void on_run_complete(SimTime now, std::size_t pending_events,
-                       std::size_t live_tasks) override;
 
   // --- annotation API ---
   /// Registers a logical task (a coroutine process, a per-node client, ...).
@@ -121,8 +109,7 @@ class RaceDetector : public EngineObserver {
   static bool concurrent(const Access& a, const Access& b);
 
   Engine& engine_;
-  EngineObserver* chained_ = nullptr;
-  std::uint64_t events_seen_ = 0;
+  std::uint64_t events_at_attach_ = 0;
 
   std::vector<std::string> task_names_;
   std::vector<Clock> clocks_;

@@ -10,32 +10,6 @@ namespace paraio::testkit {
 
 namespace {
 
-/// Counts kernel events while forwarding to whatever observer the caller's
-/// config had attached (the perturbation runs must not eat their hooks).
-class EventCounter final : public sim::EngineObserver {
- public:
-  explicit EventCounter(sim::EngineObserver* chained) : chained_(chained) {}
-  [[nodiscard]] sim::EngineObserver* chained() const override {
-    return chained_;
-  }
-  void on_schedule(sim::SimTime now, sim::SimTime when) override {
-    if (chained_) chained_->on_schedule(now, when);
-  }
-  void on_event(sim::SimTime when) override {
-    ++events_;
-    if (chained_) chained_->on_event(when);
-  }
-  void on_run_complete(sim::SimTime now, std::size_t pending_events,
-                       std::size_t live_tasks) override {
-    if (chained_) chained_->on_run_complete(now, pending_events, live_tasks);
-  }
-  [[nodiscard]] std::uint64_t events() const { return events_; }
-
- private:
-  sim::EngineObserver* chained_ = nullptr;
-  std::uint64_t events_ = 0;
-};
-
 /// Per-node sequential op streams — the structure logical_signature()
 /// digests.  Used to pinpoint the first divergent event for the report.
 std::map<io::NodeId, std::vector<pablo::IoEvent>> per_node(
@@ -105,14 +79,12 @@ struct RunDigests {
 };
 
 RunDigests run_once(core::ExperimentConfig config, std::uint64_t seed) {
-  EventCounter counter(config.hooks.engine);
-  config.hooks.engine = &counter;
   config.tie_break_seed = seed;
   core::ExperimentResult result = core::run_experiment(config);
   RunDigests d;
   d.signature = logical_signature(result.trace);
   d.hash = hash_trace(result.trace);
-  d.events = counter.events();
+  d.events = result.kernel_events;
   d.trace = std::move(result.trace);
   return d;
 }

@@ -384,7 +384,7 @@ std::optional<std::string> run_ckpt_case(const testkit::CkptCase& c,
   opts.exact_conservation = false;  // PPFS: cache-aware bounds
   testkit::InvariantChecker checker(opts);
   sim::Engine engine;
-  engine.set_observer(&checker);
+  engine.attach(checker);
   hw::Machine machine(engine, c.base.machine);
   sim::DeadlockDetector deadlocks(engine);
   fault::FaultInjector injector(engine, machine, c.plan);

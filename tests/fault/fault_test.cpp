@@ -154,7 +154,6 @@ TEST(FaultInjection, AppliesEventsAtPlannedTimes) {
   plan.add({1.0, fault::FaultKind::kDiskFail, 0, 0, 0.0});
   plan.add({2.0, fault::FaultKind::kIonCrash, 1, 0, 0.0});
   fault::FaultInjector injector(engine, machine, plan);
-  EXPECT_EQ(fault::FaultInjector::find(engine), &injector);
 
   auto probe = [&]() -> sim::Task<> {
     co_await engine.delay(0.5);
@@ -205,22 +204,41 @@ TEST(FaultInjection, RebuildTimeShowsInPublishedBusyTime) {
   EXPECT_EQ(metrics.counter("fault.disk-repair").value(), 1u);
 }
 
-TEST(FaultInjection, ChainsOntoExistingObserver) {
+/// Counts executed events.
+struct EventCount final : sim::EngineObserver {
+  std::uint64_t events = 0;
+  void on_event(sim::SimTime) override { ++events; }
+};
+
+// The injector attaches beside the observers already attached, and its
+// destruction detaches only the injector: they keep hearing every event.
+TEST(FaultInjection, AttachesBesideExistingObservers) {
   testkit::InvariantChecker checker;
+  EventCount count;
   sim::Engine engine;
-  engine.set_observer(&checker);
+  engine.attach(checker);
+  engine.attach(count);
   hw::Machine machine(engine, hw::MachineConfig::paragon_xps(2, 1));
+  fault::FaultPlan plan;
+  plan.add({0.5, fault::FaultKind::kIonCrash, 0, 0, 0.0});
+  plan.add({1.5, fault::FaultKind::kIonRestart, 0, 0, 0.0});
+  auto tick = [&]() -> sim::Task<> { co_await engine.delay(1.0); };
   {
-    fault::FaultInjector injector(engine, machine, fault::FaultPlan{});
-    EXPECT_EQ(injector.chained(), &checker);
-    EXPECT_EQ(fault::FaultInjector::find(engine), &injector);
-    auto tick = [&]() -> sim::Task<> { co_await engine.delay(1.0); };
+    fault::FaultInjector injector(engine, machine, plan);
     engine.spawn(tick());
     engine.run();
-    EXPECT_EQ(injector.applied(), 0u);
+    EXPECT_EQ(injector.applied(), 1u);
+    EXPECT_FALSE(machine.ion_up(0));
   }
-  // Destruction restored the chain; the chained checker saw the run.
-  EXPECT_EQ(fault::FaultInjector::find(engine), nullptr);
+  // Detached: the restart due at t=1.5 never fires.
+  engine.spawn(tick());
+  engine.run();
+  EXPECT_FALSE(machine.ion_up(0));
+  EXPECT_EQ(count.events, engine.events_executed());
+  engine.detach(count);
+  engine.spawn(tick());
+  engine.run();
+  EXPECT_EQ(count.events + 1, engine.events_executed());
   checker.finish();
   EXPECT_TRUE(checker.ok()) << checker.report();
 }
@@ -374,7 +392,7 @@ std::optional<std::string> run_fault_case(const testkit::FaultCase& c) {
   opts.exact_conservation = false;  // PPFS: cache-aware bounds
   testkit::InvariantChecker checker(opts);
   sim::Engine engine;
-  engine.set_observer(&checker);
+  engine.attach(checker);
   hw::Machine machine(engine, c.base.machine);
   sim::DeadlockDetector deadlocks(engine);
   fault::FaultInjector injector(engine, machine, c.plan);

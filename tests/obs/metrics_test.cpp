@@ -1,5 +1,5 @@
 // Unit tests for the obs metrics registry: log2 histogram bucketing, the
-// deterministic text dump, and the chained-observer sampler.
+// deterministic text dump, and the engine-observer sampler.
 #include "obs/metrics.hpp"
 
 #include <bit>
@@ -151,14 +151,40 @@ TEST(Sampler, SnapshotsAtPeriodBoundaries) {
   EXPECT_DOUBLE_EQ(registry.samples().back().value, 5.0);
 }
 
-TEST(Sampler, RestoresChainedObserverOnDetach) {
+/// Counts executed events.
+struct EventCount final : sim::EngineObserver {
+  std::uint64_t events = 0;
+  void on_event(sim::SimTime) override { ++events; }
+};
+
+// The sampler attaches beside any observer already attached and detaches
+// itself, and only itself, on destruction.
+TEST(Sampler, DetachesOnDestruction) {
   sim::Engine engine;
   Registry registry;
+  double g = 0.0;
+  registry.bind("g", g);
+  EventCount count;
+  engine.attach(count);
   {
     Sampler sampler(engine, registry, 1.0);
-    EXPECT_EQ(engine.observer(), &sampler);
+    engine.spawn(tick(engine, g, 3));
+    engine.run();
   }
-  EXPECT_EQ(engine.observer(), nullptr);
+  EXPECT_EQ(count.events, engine.events_executed());
+  const std::size_t samples = registry.samples().size();
+  EXPECT_GT(samples, 0u);
+
+  // Detached: more events add no samples, and the other observer still
+  // hears every one until it is detached too.
+  engine.spawn(tick(engine, g, 3));
+  engine.run();
+  EXPECT_EQ(registry.samples().size(), samples);
+  EXPECT_EQ(count.events, engine.events_executed());
+  engine.detach(count);
+  engine.call_in(1.0, [] {});
+  engine.run();
+  EXPECT_EQ(count.events + 1, engine.events_executed());
 }
 
 TEST(FormatDouble, StableRendering) {

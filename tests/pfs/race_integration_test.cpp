@@ -61,7 +61,7 @@ TEST(RaceIntegration, DetectorAbsentCostsNothing) {
   engine.spawn(writer(1));
   engine.run();
   EXPECT_EQ(fs.file_size("/log"), 200u);
-  EXPECT_EQ(sim::RaceDetector::find(engine), nullptr);
+  EXPECT_EQ(engine.race_detector(), nullptr);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "hw/machine.hpp"
@@ -223,15 +224,29 @@ TEST(DeadlockDetector, CleanIonServerRunHasNoFindings) {
   EXPECT_EQ(server.stats().requests, 2u);
 }
 
-// The detector coexists with the race detector on the observer chain, and
-// find() locates each through the other.
-TEST(DeadlockDetector, FindWalksObserverChain) {
+// Each detector claims its own slot on the engine for its lifetime, so
+// annotation sites reach both without searching for them.
+TEST(DeadlockDetector, EngineSlotsFollowDetectorLifetimes) {
   Engine engine;
-  EXPECT_EQ(DeadlockDetector::find(engine), nullptr);
-  RaceDetector races(engine);
+  EXPECT_EQ(engine.deadlock_detector(), nullptr);
+  EXPECT_EQ(engine.race_detector(), nullptr);
+  {
+    RaceDetector races(engine);
+    DeadlockDetector deadlocks(engine);
+    EXPECT_EQ(engine.deadlock_detector(), &deadlocks);
+    EXPECT_EQ(engine.race_detector(), &races);
+  }
+  EXPECT_EQ(engine.deadlock_detector(), nullptr);
+  EXPECT_EQ(engine.race_detector(), nullptr);
+}
+
+// A second detector on one engine would silently take every annotation
+// from the first, which would still report ok(), so it is refused.
+TEST(DeadlockDetector, SecondDetectorOnOneEngineThrows) {
+  Engine engine;
   DeadlockDetector deadlocks(engine);
-  EXPECT_EQ(DeadlockDetector::find(engine), &deadlocks);
-  EXPECT_EQ(RaceDetector::find(engine), &races);
+  EXPECT_THROW(DeadlockDetector second(engine), std::logic_error);
+  EXPECT_EQ(engine.deadlock_detector(), &deadlocks);
 }
 
 }  // namespace

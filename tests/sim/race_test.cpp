@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "sim/engine.hpp"
@@ -149,26 +150,58 @@ TEST(RaceDetector, TaskForKeyIsMemoized) {
   EXPECT_EQ(det.task_name(n0), "node#0");
 }
 
-// The detector chains to (and restores) whatever observer was already
-// attached, so it can coexist with the testkit's InvariantChecker.
+// Access stamps count kernel events from the detector's attach, so a
+// detector attached mid-run reports the same event numbers as one attached
+// at the start of an identical run.
+TEST(RaceDetector, StampsEventsSinceAttach) {
+  Engine engine;
+  engine.call_in(0.5, [] {});
+  engine.run();
+  RaceDetector det(engine);
+  engine.spawn(unordered_writer(engine, det, det.register_task("writer-a")));
+  engine.spawn(unordered_writer(engine, det, det.register_task("writer-b")));
+  engine.run();
+  det.finish();
+  ASSERT_EQ(det.races().size(), 1u);
+  EXPECT_EQ(det.races()[0].first.seq, 1u);
+  EXPECT_EQ(det.races()[0].second.seq, 2u);
+  EXPECT_NE(det.report().find("(event 1)"), std::string::npos);
+  EXPECT_NE(det.report().find("(event 2)"), std::string::npos);
+}
+
+// The detector is no engine observer: it claims the engine's race-detector
+// slot for its lifetime and leaves the attached observers alone.
 struct CountingObserver final : EngineObserver {
   std::uint64_t events = 0;
   void on_event(SimTime) override { ++events; }
 };
 
-TEST(RaceDetector, ChainsAndRestoresExistingObserver) {
+TEST(RaceDetector, LeavesAttachedObserversAlone) {
   Engine engine;
   CountingObserver counter;
-  engine.set_observer(&counter);
+  engine.attach(counter);
   {
     RaceDetector det(engine);
-    EXPECT_EQ(RaceDetector::find(engine), &det);
+    EXPECT_EQ(engine.race_detector(), &det);
     engine.spawn(delayed_writer(engine, det, det.register_task("w"), 1.0));
     engine.run();
-    EXPECT_GT(counter.events, 0u);  // forwarded through the chain
+    EXPECT_GT(counter.events, 0u);
+    EXPECT_EQ(counter.events, engine.events_executed());
   }
-  EXPECT_EQ(engine.observer(), &counter);
-  EXPECT_EQ(RaceDetector::find(engine), nullptr);
+  EXPECT_EQ(engine.race_detector(), nullptr);
+  engine.detach(counter);
+  engine.call_in(1.0, [] {});
+  engine.run();
+  EXPECT_EQ(counter.events + 1, engine.events_executed());
+}
+
+// A second detector on one engine would silently take every annotation
+// from the first, so it is refused.
+TEST(RaceDetector, SecondDetectorOnOneEngineThrows) {
+  Engine engine;
+  RaceDetector det(engine);
+  EXPECT_THROW(RaceDetector second(engine), std::logic_error);
+  EXPECT_EQ(engine.race_detector(), &det);
 }
 
 }  // namespace
