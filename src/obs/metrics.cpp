@@ -127,6 +127,13 @@ Sampler::Sampler(sim::Engine& engine, Registry& registry,
       registry_(registry),
       period_(period),
       next_(engine.now() + period) {
+  // Each snapshot moves next_ forward by one period; any other period
+  // would keep on_event snapshotting forever.
+  if (!(period > 0.0 && period < sim::kTimeInfinity)) {
+    throw std::invalid_argument("obs::Sampler: period " +
+                                std::to_string(period) +
+                                " s must be finite and > 0");
+  }
   engine_.attach(*this);
 }
 

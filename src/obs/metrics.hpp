@@ -202,6 +202,7 @@ class Registry {
 /// nothing changes, so nothing is missed.
 class Sampler final : public sim::EngineObserver {
  public:
+  /// Throws std::invalid_argument unless `period` is finite and > 0.
   Sampler(sim::Engine& engine, Registry& registry, sim::SimDuration period);
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;

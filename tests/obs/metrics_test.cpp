@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -149,6 +150,23 @@ TEST(Sampler, SnapshotsAtPeriodBoundaries) {
   EXPECT_DOUBLE_EQ(registry.samples().front().time, 2.0);
   EXPECT_DOUBLE_EQ(registry.samples().back().time, 5.0);
   EXPECT_DOUBLE_EQ(registry.samples().back().value, 5.0);
+}
+
+// A period that never moves the next boundary forward would keep the first
+// event snapshotting forever; the constructor refuses it instead.
+TEST(Sampler, RejectsNonPositivePeriod) {
+  sim::Engine engine;
+  Registry registry;
+  for (const double period : {0.0, -1.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW({ Sampler sampler(engine, registry, period); },
+                 std::invalid_argument)
+        << "period " << period;
+  }
+  engine.call_in(1.0, [] {});
+  engine.run();
+  EXPECT_TRUE(registry.samples().empty());  // nothing stayed attached
 }
 
 /// Counts executed events.
