@@ -1,13 +1,49 @@
 #include "core/obs_options.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string_view>
+#include <system_error>
 
 #include "obs/chrome.hpp"
 
 namespace paraio::core {
+
+namespace {
+
+/// Parses all of `text` into `value`; false on junk or overflow.
+template <typename T>
+bool parse_whole(std::string_view text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [last, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc() && last == end;
+}
+
+[[noreturn]] void reject_flag(std::string_view flag, std::string_view text,
+                              const char* expected) {
+  std::cerr << flag << ": expected " << expected << ", got '" << text
+            << "'\n";
+  std::exit(2);
+}
+
+}  // namespace
+
+std::size_t parse_count_flag(std::string_view flag, std::string_view text) {
+  std::size_t value = 0;
+  if (!parse_whole(text, value)) reject_flag(flag, text, "a whole number");
+  return value;
+}
+
+double parse_sample_period(std::string_view text) {
+  double value = 0.0;
+  if (!parse_whole(text, value) || !std::isfinite(value) || value <= 0.0) {
+    reject_flag("--sample-period", text, "a finite number of seconds > 0");
+  }
+  return value;
+}
 
 ObsOptions ObsOptions::parse(int argc, char** argv) {
   ObsOptions opt;
@@ -25,7 +61,7 @@ ObsOptions ObsOptions::parse(int argc, char** argv) {
     } else if (arg == "--chrome-trace") {
       opt.chrome_path_ = value();
     } else if (arg == "--sample-period") {
-      opt.sample_period_ = std::strtod(value(), nullptr);
+      opt.sample_period_ = parse_sample_period(value());
     }
   }
   return opt;

@@ -6,7 +6,8 @@
 //   --metrics PATH       write the deterministic registry dump after the run
 //   --chrome-trace PATH  write a Chrome trace-event JSON (ui.perfetto.dev)
 //   --sample-period S    additionally snapshot every gauge/counter each S
-//                        simulated seconds (requires --metrics)
+//                        simulated seconds (S finite and > 0; requires
+//                        --metrics)
 //
 // ObsOptions owns the Registry and Tracer those flags imply, wires them into
 // an ExperimentConfig's hooks, and writes the outputs afterwards.  The
@@ -16,13 +17,23 @@
 // CI (see docs/OBSERVABILITY.md).
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "core/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace paraio::core {
+
+/// Strict command-line numbers: the whole token must be one number
+/// (std::from_chars — no sign on a count, no trailing junk).  Anything else
+/// prints a message naming `flag` to stderr and exits with code 2.
+[[nodiscard]] std::size_t parse_count_flag(std::string_view flag,
+                                           std::string_view text);
+/// The value of --sample-period: seconds, finite and > 0.
+[[nodiscard]] double parse_sample_period(std::string_view text);
 
 class ObsOptions {
  public:

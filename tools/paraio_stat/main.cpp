@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/obs_options.hpp"
 #include "obs/chrome.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -111,15 +112,15 @@ int main(int argc, char** argv) {
     if (arg == "--app") {
       opt.app = value();
     } else if (arg == "--nodes") {
-      opt.nodes = std::strtoul(value(), nullptr, 10);
+      opt.nodes = core::parse_count_flag(arg, value());
     } else if (arg == "--ions") {
-      opt.ions = std::strtoul(value(), nullptr, 10);
+      opt.ions = core::parse_count_flag(arg, value());
     } else if (arg == "--top") {
-      opt.top = std::strtoul(value(), nullptr, 10);
+      opt.top = core::parse_count_flag(arg, value());
     } else if (arg == "--fs") {
       opt.fs = value();
     } else if (arg == "--sample-period") {
-      opt.sample_period = std::strtod(value(), nullptr);
+      opt.sample_period = core::parse_sample_period(value());
     } else if (arg == "--metrics") {
       opt.metrics_path = value();
     } else if (arg == "--chrome-trace") {
