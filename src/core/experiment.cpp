@@ -41,6 +41,20 @@ sim::SimTime loss_reference(const fault::FaultPlan& plan, sim::SimTime end) {
   return ref;
 }
 
+/// The application model each AppConfig alternative configures.
+template <typename Config>
+struct AppOf;
+template <>
+struct AppOf<apps::EscatConfig> { using type = apps::Escat; };
+template <>
+struct AppOf<apps::RenderConfig> { using type = apps::Render; };
+template <>
+struct AppOf<apps::HtfConfig> { using type = apps::Htf; };
+template <>
+struct AppOf<apps::SyntheticConfig> { using type = apps::Synthetic; };
+template <typename Config>
+using AppFor = typename AppOf<Config>::type;
+
 /// Application wrapper so the driver can treat the application codes
 /// uniformly.
 template <typename App>
@@ -123,32 +137,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   std::visit(
       [&](const auto& app_config) {
-        using Config = std::decay_t<decltype(app_config)>;
-        if constexpr (std::is_same_v<Config, apps::EscatConfig>) {
-          apps::Escat app(machine, instrumented, app_config);
-          app.set_checkpoint(hook);
-          engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
-          engine.run();
-          result.phases = app.phases();
-        } else if constexpr (std::is_same_v<Config, apps::RenderConfig>) {
-          apps::Render app(machine, instrumented, app_config);
-          app.set_checkpoint(hook);
-          engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
-          engine.run();
-          result.phases = app.phases();
-        } else if constexpr (std::is_same_v<Config, apps::SyntheticConfig>) {
-          apps::Synthetic app(machine, instrumented, app_config);
-          app.set_checkpoint(hook);
-          engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
-          engine.run();
-          result.phases = app.phases();
-        } else {
-          apps::Htf app(machine, instrumented, app_config);
-          app.set_checkpoint(hook);
-          engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
-          engine.run();
-          result.phases = app.phases();
-        }
+        AppFor<std::decay_t<decltype(app_config)>> app(machine, instrumented,
+                                                       app_config);
+        app.set_checkpoint(hook);
+        engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
+        engine.run();
+        result.phases = app.phases();
       },
       config.app);
 
