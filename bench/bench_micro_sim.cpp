@@ -1,5 +1,5 @@
 // Microbenchmarks of the simulation kernel hot path: event queue churn,
-// same-instant bursts, cancellation, coroutine timer chains, process fan-out,
+// same-instant bursts, coroutine timer chains, process fan-out,
 // and the synchronization primitives.  These bound how large a simulated
 // machine the toolkit can handle per wall-clock second, so their events/sec
 // numbers are the repo's tracked performance trajectory:
@@ -85,19 +85,6 @@ std::pair<double, double> queue_same_instant() {
   for (int i = 0; i < kEvents; ++i) q.schedule(5.0, [] {});
   while (!q.empty()) q.pop().second();
   return {static_cast<double>(kEvents), 5.0};
-}
-
-std::pair<double, double> queue_cancel_half() {
-  constexpr int kEvents = 20000;
-  sim::EventQueue q;
-  std::vector<sim::EventId> ids;
-  ids.reserve(kEvents);
-  for (int i = 0; i < kEvents; ++i) {
-    ids.push_back(q.schedule(static_cast<double>((i * 31) % 1009), [] {}));
-  }
-  for (int i = 0; i < kEvents; i += 2) (void)q.cancel(ids[static_cast<std::size_t>(i)]);
-  while (!q.empty()) q.pop().second();
-  return {static_cast<double>(kEvents), 0.0};
 }
 
 // --- engine scenarios (coroutines, sync primitives) ------------------------
@@ -215,7 +202,6 @@ constexpr Scenario kScenarios[] = {
     {"queue_churn_100k", &queue_churn<100000>},
     {"queue_rolling_horizon_100k", &queue_rolling_horizon},
     {"queue_same_instant_20k", &queue_same_instant},
-    {"queue_cancel_half_20k", &queue_cancel_half},
     {"timer_chain_100k", &timer_chain},
     {"many_processes_4096x10", &many_processes},
     {"channel_pingpong_10k", &channel_pingpong},

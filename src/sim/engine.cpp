@@ -91,14 +91,4 @@ SimTime Engine::run() {
   return now();
 }
 
-SimTime Engine::run_until(SimTime deadline) {
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    step();
-  }
-  if (!finished_.empty()) reap_finished();
-  // If the queue drained first, time stops at the last event.
-  if (now() < deadline && !queue_.empty()) queue_.advance_to(deadline);
-  return now();
-}
-
 }  // namespace paraio::sim

@@ -3,6 +3,8 @@
 // The engine owns simulated time and the pending-event set, and acts as the
 // scheduler for coroutine processes (sim::Task).  It is strictly
 // single-threaded; determinism comes from the EventQueue's FIFO tie-break.
+// A scheduled event always runs: nothing in the kernel retracts one, and
+// time advances only through step() and run().
 #pragma once
 
 #include <coroutine>
@@ -55,18 +57,18 @@ class Engine {
 
   /// Schedules `action` after `delay` seconds of simulated time.  Throws
   /// std::invalid_argument for a negative, NaN or infinite delay.
-  EventId call_in(SimDuration delay, EventQueue::Action action) {
+  void call_in(SimDuration delay, EventQueue::Action action) {
     if (!(delay >= 0.0 && delay < kTimeInfinity)) reject_delay(delay);
     notify_schedule(now() + delay);
-    return queue_.schedule(now() + delay, std::move(action));
+    queue_.schedule(now() + delay, std::move(action));
   }
 
   /// Schedules `action` at absolute simulated time `when`.  Throws
   /// std::invalid_argument unless now() <= when < infinity (NaN included).
-  EventId call_at(SimTime when, EventQueue::Action action) {
+  void call_at(SimTime when, EventQueue::Action action) {
     if (!(when >= now() && when < kTimeInfinity)) reject_time(when);
     notify_schedule(when);
-    return queue_.schedule(when, std::move(action));
+    queue_.schedule(when, std::move(action));
   }
 
   /// Resumes `h` at now(), after every event already scheduled for this
@@ -77,9 +79,6 @@ class Engine {
     notify_schedule(now());
     queue_.schedule_resume(h);
   }
-
-  /// Cancels a pending callback.  Returns true if it had not yet fired.
-  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Starts a detached top-level process.  The engine keeps the task alive
   /// until it finishes; if the task ends with an uncaught exception the next
@@ -94,11 +93,6 @@ class Engine {
 
   /// Runs until no events remain.  Returns the final simulated time.
   SimTime run();
-
-  /// Runs events with time <= `deadline`; then sets now() to `deadline` if
-  /// the simulation ran that far, or leaves it at the last event time if the
-  /// queue drained first.  Returns now().
-  SimTime run_until(SimTime deadline);
 
   /// Executes exactly one event if any is pending.  Returns false when the
   /// queue is empty.

@@ -42,58 +42,40 @@ void EventQueue::set_tie_break_seed(std::uint64_t seed) {
   tie_seed_ = seed;
 }
 
-void EventQueue::advance_to(SimTime when) {
-  assert(lane_live_ == 0 && when >= now_);
-  assert(live_ == 0 || bottom_[bottom_head_].when >= when);
-  now_ = when;
-}
-
-std::uint32_t EventQueue::acquire_slot(Action action, bool in_lane) {
+std::uint32_t EventQueue::acquire_slot(Action action) {
   if (free_head_ != kNoSlot) {
     const std::uint32_t s = free_head_;
     free_head_ = slots_[s].next_free;
     slots_[s].action = std::move(action);
-    slots_[s].in_lane = in_lane;
     return s;
   }
   const auto s = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(Slot{std::move(action), 1, kNoSlot, in_lane});
+  slots_.push_back(Slot{std::move(action), kNoSlot});
   return s;
 }
 
-void EventQueue::release_slot(std::uint32_t slot) noexcept {
+EventQueue::Action EventQueue::take_action(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
-  s.action = Action();  // release captured resources eagerly
-  ++s.gen;              // tombstones any entry still in the ladder or lane
+  Action action = std::move(s.action);
   s.next_free = free_head_;
   free_head_ = slot;
-}
-
-EventQueue::Action EventQueue::take_action(std::uint32_t slot) noexcept {
-  Action action = std::move(slots_[slot].action);
-  release_slot(slot);
   return action;
 }
 
-EventId EventQueue::schedule(SimTime when, Action action) {
+void EventQueue::schedule(SimTime when, Action action) {
   assert(when >= now_ && "event scheduled in the past");
   const std::uint64_t seq = next_seq_++;
   if (when == now_ && tie_seed_ == 0) {
-    const std::uint32_t slot = acquire_slot(std::move(action), true);
-    const std::uint64_t gen = slots_[slot].gen;
-    push_lane(LaneEntry{{}, gen, slot});
-    return EventId{seq, gen, slot};
+    push_lane(LaneEntry{{}, acquire_slot(std::move(action))});
+    return;
   }
   const std::uint64_t key = tie_seed_ == 0 ? seq : mix64(seq ^ tie_seed_);
-  const std::uint32_t slot = acquire_slot(std::move(action), false);
-  const Entry e{when, key, slots_[slot].gen, slot};
   ++live_;
-  route(e);
+  route(Entry{when, key, acquire_slot(std::move(action))});
   // A from-empty schedule may route to the rungs/top; pull it straight into
-  // bottom so the "earliest live event is bottom's head" invariant (and with
-  // it, const next_time()) holds on every exit.
+  // bottom so the "earliest ladder event is bottom's head" invariant (and
+  // with it, const next_time()) holds on every exit.
   if (bottom_empty()) refill();
-  return EventId{seq, e.gen, slot};
 }
 
 void EventQueue::compact_lane() noexcept {
@@ -109,29 +91,15 @@ void EventQueue::clear_lane() noexcept {
   lane_head_ = 0;
 }
 
-bool EventQueue::cancel(EventId id) {
-  if (id.slot >= slots_.size()) return false;
-  if (slots_[id.slot].gen != id.gen) return false;  // already fired/cancelled
-  const bool in_lane = slots_[id.slot].in_lane;
-  release_slot(id.slot);
-  if (in_lane) {
-    if (--lane_live_ == 0) clear_lane();
-  } else {
-    --live_;
-    refill();  // the cancelled event may have been bottom's earliest
-  }
-  return true;
-}
-
 SimTime EventQueue::next_time() const {
   assert(!empty() && "next_time() on empty queue");
-  if (lane_live_ > 0) return now_;
-  assert(!bottom_empty() && is_live(bottom_[bottom_head_]));
+  if (lane_head_ < lane_.size()) return now_;
+  assert(!bottom_empty());
   return bottom_[bottom_head_].when;
 }
 
 EventQueue::Due EventQueue::pop_ladder() {
-  assert(!bottom_empty() && is_live(bottom_[bottom_head_]));
+  assert(!bottom_empty());
   const Entry e = bottom_[bottom_head_];
   ++bottom_head_;
   now_ = e.when;
@@ -154,8 +122,8 @@ void EventQueue::route(const Entry& e) {
   // top_ only for refill() to immediately convert it back.  Going straight
   // into bottom produces the exact state refill_from_top's direct-sort path
   // would: one-entry bottom, threshold raised to nextafter(when).  Guarded
-  // on the containers (not live_) because tombstoned entries may still sit
-  // in the structures.
+  // on the containers (not live_) because a drained rung may linger until
+  // the next refill reaches it.
   if (rungs_.empty() && top_.empty() && bottom_.empty()) {
     bottom_.push_back(e);
     bottom_head_ = 0;
@@ -243,18 +211,10 @@ void EventQueue::maybe_spill_bottom() {
 
 // --- refilling -------------------------------------------------------------
 
-void EventQueue::purge_bottom() noexcept {
-  while (bottom_head_ < bottom_.size() && !is_live(bottom_[bottom_head_])) {
-    ++bottom_head_;
-  }
-  if (bottom_head_ == bottom_.size() && bottom_head_ != 0) {
-    bottom_.clear();
-    bottom_head_ = 0;
-  }
-}
-
 void EventQueue::refill() {
-  purge_bottom();
+  if (!bottom_empty()) return;
+  bottom_.clear();  // reset the consumed bottom
+  bottom_head_ = 0;
   while (bottom_empty() && live_ > 0) {
     assert(!rungs_.empty() || !top_.empty());
     if (!rungs_.empty()) {
@@ -262,7 +222,6 @@ void EventQueue::refill() {
     } else {
       refill_from_top();
     }
-    purge_bottom();
   }
 }
 
@@ -346,7 +305,7 @@ void EventQueue::sort_into_bottom(std::vector<Entry> entries,
   std::sort(entries.begin(), entries.end(), earlier);
   bottom_ = std::move(entries);
   bottom_head_ = 0;
-  // max(): a stale higher threshold is still safe — every live event outside
+  // max(): a stale higher threshold is still safe — every event outside
   // bottom is at or beyond it — and routes more arrivals onto the sorted
   // fast path.
   bottom_threshold_ = std::max(bottom_threshold_, new_threshold);

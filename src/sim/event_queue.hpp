@@ -14,11 +14,11 @@
 //
 //   lane     a FIFO of events scheduled for now() itself (under FIFO
 //            order only): coroutine wake-ups as raw handles, and generic
-//            actions as references into the action pool.  Append and pop
-//            are O(1).  Every lane entry was scheduled after the clock
-//            reached now(), so it carries a larger key than any ladder
-//            entry due at now() — those fire first, then the lane drains
-//            in FIFO order, and only then does time advance.
+//            actions as indices into the action pool.  Append and pop are
+//            O(1).  Every lane entry was scheduled after the clock reached
+//            now(), so it carries a larger key than any ladder entry due at
+//            now() — those fire first, then the lane drains in FIFO order,
+//            and only then does time advance.
 //   ladder   everything else: timed events, and under a tie-break seed
 //            same-instant ones too, so that their keys can interleave.
 //
@@ -44,13 +44,7 @@
 // reference heap — tests/sim/event_queue_diff_test.cpp runs this queue, lane
 // included, in lockstep against sim::HeapEventQueue to prove it.
 //
-// Cancellation is O(1): an EventId names a slot in the action pool plus the
-// slot's generation; cancel bumps the generation, which tombstones the entry
-// still sitting in the ladder or lane (skipped when it surfaces).  The
-// action is destroyed eagerly so captured resources are released at cancel
-// time.
-//
-// The queue maintains the invariant that whenever live ladder events exist,
+// The queue maintains the invariant that whenever ladder events are pending,
 // the earliest one is at bottom's head — which is what lets next_time() be
 // a genuinely const read.
 //
@@ -69,14 +63,6 @@
 #include "sim/time.hpp"
 
 namespace paraio::sim {
-
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-struct EventId {
-  std::uint64_t seq = 0;   ///< global schedule order (diagnostics)
-  std::uint64_t gen = 0;   ///< slot generation at schedule time
-  std::uint32_t slot = 0;  ///< index into the queue's action pool
-  friend bool operator==(EventId, EventId) = default;
-};
 
 class EventQueue {
  public:
@@ -110,42 +96,31 @@ class EventQueue {
     return tie_seed_;
   }
 
-  /// Time of the most recently popped event (0 before the first pop, or
-  /// where advance_to() moved it).
+  /// Time of the most recently popped event (0 before the first pop).
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-
-  /// Moves now() forward to `when` without popping.  Precondition: no
-  /// event is pending before `when` and none at now() (the lane is empty).
-  void advance_to(SimTime when);
 
   /// Schedules `action` at absolute time `when`.  Precondition: when >=
   /// now().  `when` may equal now() (the event fires after all
   /// earlier-scheduled events at the same instant).
-  EventId schedule(SimTime when, Action action);
+  void schedule(SimTime when, Action action);
 
   /// Schedules a resumption of `h` at now(), after all earlier-scheduled
   /// events at this instant.  Under FIFO order this is an O(1) lane append
-  /// with no pool slot; it cannot be cancelled.
+  /// with no pool slot.
   void schedule_resume(std::coroutine_handle<> h);
 
-  /// Cancels a previously scheduled event.  Returns true if the event was
-  /// still pending.  O(1): the entry is tombstoned via its generation and
-  /// skipped when it surfaces, but the action (and anything it captures) is
-  /// released eagerly.
-  bool cancel(EventId id);
-
-  /// True if no live (non-cancelled) events remain.
+  /// True if no event is pending.
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
-  /// Number of live events, lane included.
+  /// Number of pending events, lane included.
   [[nodiscard]] std::size_t size() const noexcept {
-    return live_ + lane_live_;
+    return live_ + (lane_.size() - lane_head_);
   }
 
-  /// Time of the earliest live event.  Precondition: !empty().
+  /// Time of the earliest pending event.  Precondition: !empty().
   [[nodiscard]] SimTime next_time() const;
 
-  /// Removes the earliest live event and advances now() to its time.
+  /// Removes the earliest pending event and advances now() to its time.
   /// Precondition: !empty().
   std::pair<SimTime, Due> pop();
 
@@ -153,28 +128,24 @@ class EventQueue {
   struct Entry {
     SimTime when;
     std::uint64_t key;   // == seq under FIFO; permuted under a tie-break seed
-    std::uint64_t gen;   // matches the slot's generation while live
     std::uint32_t slot;
   };
 
   /// A lane entry: a wake-up (`resume` set) or a pooled action.
   struct LaneEntry {
     std::coroutine_handle<> resume;
-    std::uint64_t gen;
     std::uint32_t slot;
   };
 
   struct Slot {
     Action action;
-    std::uint64_t gen = 1;  // bumped on pop/cancel; 64-bit so it never wraps
     std::uint32_t next_free = kNoSlot;
-    bool in_lane = false;   // which structure holds this slot's entry
   };
 
   /// One ladder rung: `buckets.size()` equal-width buckets starting at
   /// `start`.  `route_end` is the exclusive upper routing bound — every
   /// entry stored in (or newly routed to) this rung has when < route_end,
-  /// and every live entry in outer structures has when >= route_end.
+  /// and every entry in outer structures has when >= route_end.
   struct Rung {
     SimTime start;
     SimTime width;
@@ -190,17 +161,10 @@ class EventQueue {
     }
   };
 
-  [[nodiscard]] bool is_live(const Entry& e) const noexcept {
-    return slots_[e.slot].gen == e.gen;
-  }
-  [[nodiscard]] bool is_live(const LaneEntry& e) const noexcept {
-    return e.resume || slots_[e.slot].gen == e.gen;
-  }
-
-  /// True when the next event comes from the lane: it has live entries
+  /// True when the next event comes from the lane: it has entries left
   /// and no ladder entry is due at now() (those carry smaller keys).
   [[nodiscard]] bool lane_first() const noexcept {
-    return lane_live_ > 0 &&
+    return lane_head_ < lane_.size() &&
            (live_ == 0 || bottom_[bottom_head_].when != now_);
   }
 
@@ -213,8 +177,7 @@ class EventQueue {
     return bottom_head_ == bottom_.size();
   }
 
-  std::uint32_t acquire_slot(Action action, bool in_lane);
-  void release_slot(std::uint32_t slot) noexcept;
+  std::uint32_t acquire_slot(Action action);
   [[nodiscard]] Action take_action(std::uint32_t slot) noexcept;
 
   void push_lane(const LaneEntry& e);
@@ -228,10 +191,9 @@ class EventQueue {
   void place_in_rung(Rung& r, const Entry& e);
   void maybe_spill_bottom();
 
-  /// Restores the invariant "live_ > 0 implies bottom_'s head is live",
-  /// pulling from rungs/top as needed.
+  /// Restores the invariant "live_ > 0 implies bottom_ has an unpopped
+  /// entry", pulling from rungs/top as needed.
   void refill();
-  void purge_bottom() noexcept;
   void refill_from_rung();
   void refill_from_top();
 
@@ -265,12 +227,11 @@ class EventQueue {
 
   std::vector<LaneEntry> lane_;  // FIFO of events at now_
   std::size_t lane_head_ = 0;    // entries before this index already popped
-  std::size_t lane_live_ = 0;    // live lane entries; 0 iff lane_ is empty
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;         // live ladder entries
+  std::size_t live_ = 0;         // pending ladder entries
   SimTime now_ = 0.0;
   std::uint64_t tie_seed_ = 0;
 };
@@ -282,14 +243,13 @@ inline void EventQueue::schedule_resume(std::coroutine_handle<> h) {
     schedule(now_, [h] { h.resume(); });
     return;
   }
-  ++next_seq_;  // keeps EventId::seq the global schedule order
-  push_lane(LaneEntry{h, 0, 0});
+  ++next_seq_;  // one sequence number per event, lane or ladder
+  push_lane(LaneEntry{h, 0});
 }
 
 inline void EventQueue::push_lane(const LaneEntry& e) {
   if (lane_head_ >= 64 && lane_head_ * 2 >= lane_.size()) compact_lane();
   lane_.push_back(e);
-  ++lane_live_;
 }
 
 inline std::pair<SimTime, EventQueue::Due> EventQueue::pop() {
@@ -300,9 +260,8 @@ inline std::pair<SimTime, EventQueue::Due> EventQueue::pop() {
 }
 
 inline EventQueue::Due EventQueue::pop_lane() {
-  while (!is_live(lane_[lane_head_])) ++lane_head_;
   const LaneEntry e = lane_[lane_head_++];
-  if (--lane_live_ == 0) clear_lane();
+  if (lane_head_ == lane_.size()) clear_lane();
   if (e.resume) return Due{e.resume, {}};
   return Due{{}, take_action(e.slot)};
 }

@@ -1,5 +1,6 @@
 #include "sim/heap_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -27,47 +28,24 @@ void HeapEventQueue::set_tie_break_seed(std::uint64_t seed) {
   tie_seed_ = seed;
 }
 
-std::uint64_t HeapEventQueue::schedule(SimTime when, Action action) {
+void HeapEventQueue::schedule(SimTime when, Action action) {
   const std::uint64_t seq = next_seq_++;
   const std::uint64_t key = tie_seed_ == 0 ? seq : mix64(seq ^ tie_seed_);
-  heap_.push(Entry{when, seq, key});
-  pending_.emplace(seq, std::move(action));
-  ++live_;
-  return seq;
-}
-
-bool HeapEventQueue::cancel(std::uint64_t seq) {
-  const auto it = pending_.find(seq);
-  if (it == pending_.end()) return false;
-  pending_.erase(it);
-  --live_;
-  drop_dead_top();
-  return true;
-}
-
-void HeapEventQueue::drop_dead_top() {
-  while (!heap_.empty() && !pending_.contains(heap_.top().seq)) {
-    heap_.pop();
-  }
+  heap_.push_back(Entry{when, key, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
 SimTime HeapEventQueue::next_time() const {
-  assert(live_ > 0 && "next_time() on empty queue");
-  assert(!heap_.empty() && pending_.contains(heap_.top().seq));
-  return heap_.top().when;
+  assert(!empty() && "next_time() on empty queue");
+  return heap_.front().when;
 }
 
 std::pair<SimTime, HeapEventQueue::Action> HeapEventQueue::pop() {
-  assert(live_ > 0 && "pop() on empty queue");
-  const Entry top = heap_.top();
-  heap_.pop();
-  const auto it = pending_.find(top.seq);
-  assert(it != pending_.end() && "heap top must be live");
-  Action action = std::move(it->second);
-  pending_.erase(it);
-  --live_;
-  drop_dead_top();
-  return {top.when, std::move(action)};
+  assert(!empty() && "pop() on empty queue");
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  Entry top = std::move(heap_.back());
+  heap_.pop_back();
+  return {top.when, std::move(top.action)};
 }
 
 }  // namespace paraio::sim

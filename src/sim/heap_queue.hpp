@@ -2,22 +2,17 @@
 // contract of sim::EventQueue.
 //
 // This is the pre-ladder implementation, kept as the executable
-// specification of event ordering: (when, key, seq) min-order, FIFO ties
-// under seed 0, seeded same-instant permutation otherwise.  O(log n)
-// schedule/pop and a hash lookup per event — correct, slow, and obviously
-// so.  tests/sim/event_queue_diff_test.cpp drives it in lockstep with the
-// ladder queue and asserts identical pop sequences over randomized
-// schedule/cancel/pop interleavings.
-//
-// Unlike the historical version, cancellation restores the "heap top is
-// live" invariant eagerly, so next_time() is genuinely const (no `mutable`
-// lazy cleanup).
+// specification of event ordering: (when, key) min-order, FIFO ties under
+// seed 0, seeded same-instant permutation otherwise.  O(log n)
+// schedule/pop — correct, slow, and obviously so.
+// tests/sim/event_queue_diff_test.cpp drives it in lockstep with the ladder
+// queue and asserts identical pop sequences over randomized schedule/pop
+// interleavings.
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "sim/action.hpp"
 #include "sim/time.hpp"
@@ -34,43 +29,35 @@ class HeapEventQueue {
     return tie_seed_;
   }
 
-  /// Schedules `action` at `when`; returns the insertion sequence number,
-  /// which doubles as the cancellation handle.
-  std::uint64_t schedule(SimTime when, Action action);
+  /// Schedules `action` at `when`.
+  void schedule(SimTime when, Action action);
 
-  /// Cancels a pending event by its sequence number.  Returns true if it
-  /// had not yet fired.
-  bool cancel(std::uint64_t seq);
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
-  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return live_; }
-
-  /// Time of the earliest live event.  Precondition: !empty().
+  /// Time of the earliest event.  Precondition: !empty().
   [[nodiscard]] SimTime next_time() const;
 
-  /// Removes and returns the earliest live event.  Precondition: !empty().
+  /// Removes and returns the earliest event.  Precondition: !empty().
   std::pair<SimTime, Action> pop();
 
  private:
   struct Entry {
     SimTime when;
-    std::uint64_t seq;
     std::uint64_t key;  // == seq under FIFO; permuted under a tie-break seed
-    // std::priority_queue is a max-heap, so invert the comparison.
-    bool operator<(const Entry& other) const {
-      if (when != other.when) return when > other.when;
-      if (key != other.key) return key > other.key;
-      return seq > other.seq;
-    }
+    Action action;
   };
 
-  /// Pops cancelled entries off the top so the top is always live.
-  void drop_dead_top();
+  /// Heap order for std::push_heap/pop_heap, which build a max-heap: the
+  /// earliest (when, key) must compare greatest.  Keys are distinct, so
+  /// this is strict.
+  static bool later(const Entry& a, const Entry& b) noexcept {
+    if (a.when != b.when) return a.when > b.when;
+    return a.key > b.key;
+  }
 
-  std::priority_queue<Entry> heap_;
-  std::unordered_map<std::uint64_t, Action> pending_;  // seq -> action
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;
   std::uint64_t tie_seed_ = 0;
 };
 
