@@ -85,13 +85,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (metrics != nullptr && config.hooks.sample_period > 0.0) {
     sampler.emplace(engine, *metrics, config.hooks.sample_period);
   }
-  // Attached after the sampler, so a fault lands before the sampler
-  // snapshots the same event.  An empty plan applies nothing, which keeps
-  // the run bit-identical.
-  std::optional<fault::FaultInjector> injector;
-  if (config.attach_fault_layer || !config.fault_plan.empty()) {
-    injector.emplace(engine, machine, config.fault_plan, metrics, tracer);
-  }
+  // An empty plan schedules nothing, which keeps the run bit-identical.
+  fault::FaultInjector injector(engine, machine, config.fault_plan, metrics,
+                                tracer);
 
   std::unique_ptr<pfs::Pfs> pfs_fs;
   std::unique_ptr<ppfs::Ppfs> ppfs_fs;
@@ -161,7 +157,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.ppfs_counters = ppfs_fs->counters();
     result.recovery = ppfs_fs->recovery_stats();
   }
-  if (injector) result.faults_injected = injector->applied();
+  result.faults_injected = injector.applied();
   for (std::size_t k = 0; k < machine.io_nodes(); ++k) {
     result.raid_faults += machine.ion_array(k).fault_stats();
   }

@@ -85,13 +85,11 @@ struct ExperimentConfig {
   /// (testkit/perturb.hpp) asserts exactly that.
   std::uint64_t tie_break_seed = 0;
   /// Timed hardware faults injected while the experiment runs (disk
-  /// failures/repairs, ION crashes/restarts, interconnect loss/delay).
-  /// Empty plan + attach_fault_layer=false: no fault machinery is built.
-  /// Empty plan + attach_fault_layer=true: the injector is attached but
-  /// idle — results and trace digests are bit-identical to no layer at all
-  /// (the golden-trace tests assert this).
+  /// failures/repairs, ION crashes/restarts, interconnect loss/delay), each
+  /// at exactly its planned time.  An empty plan schedules nothing, so
+  /// results and trace digests are those of a fault-free machine (every
+  /// golden digest but the `*.faults.*` ones pins this).
   fault::FaultPlan fault_plan;
-  bool attach_fault_layer = false;
   /// Periodic checkpoint dumps plugged into the application's boundary
   /// hooks (disabled by default; see docs/CHECKPOINT.md).  The absorber
   /// backend requires a PPFS mount (its drain rides the PPFS recovery

@@ -113,8 +113,8 @@ class Engine {
 
   /// Attaches `observer` until detach(); it must not already be attached.
   /// Every hook reaches the attached observers newest first, so an observer
-  /// attached later (a FaultInjector) acts on an event before one attached
-  /// earlier (a Sampler) records it.
+  /// attached later (run_experiment's Sampler) hears an event before one
+  /// attached earlier (the caller's ExperimentHooks::engine).
   void attach(EngineObserver& observer) { observers_.push_back(&observer); }
   /// Detaches `observer` wherever it sits in attach order; a no-op if it is
   /// not attached.
