@@ -201,7 +201,6 @@ class Pfs final : public io::FileSystem {
 
   /// Attaches (or, with nullptr, detaches) the data-path debug observer.
   void set_observer(IoObserver* observer) { observer_ = observer; }
-  [[nodiscard]] IoObserver* observer() const noexcept { return observer_; }
 
   /// Publishes per-stripe-server request counts and byte balance
   /// (`pfs.ion<k>.{requests,bytes}`) and mode-gate waits

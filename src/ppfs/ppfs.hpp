@@ -214,9 +214,6 @@ class Ppfs final : public io::FileSystem {
   /// Attaches (or, with nullptr, detaches) the data-path debug observer
   /// (shared interface with pfs::Pfs).
   void set_observer(pfs::IoObserver* observer) { observer_ = observer; }
-  [[nodiscard]] pfs::IoObserver* observer() const noexcept {
-    return observer_;
-  }
 
   /// Publishes client-cache hit/miss/eviction counters
   /// (`ppfs.cache.{hits,misses,evictions}`), write-behind flush sizes
