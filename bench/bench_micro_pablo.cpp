@@ -1,14 +1,19 @@
-// Microbenchmarks of the instrumentation layer (google-benchmark),
-// quantifying the paper's §3.1 claim: "instrumentation overhead is modest
-// for input/output data capture and is largely independent of the choice of
-// real-time data reduction or trace output".
+// Microbenchmarks of the instrumentation layer, quantifying the paper's
+// §3.1 claim: "instrumentation overhead is modest for input/output data
+// capture and is largely independent of the choice of real-time data
+// reduction or trace output".
 //
 // Measured here as *host* cost per traced operation: full trace capture vs.
 // each real-time reduction vs. all of them at once, plus trace file I/O.
-#include <benchmark/benchmark.h>
-
+// "events" counts traced operations.
+//
+//   $ bench_micro_pablo [--json PATH] [--csv DIR]
+#include <cstdio>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "bench_util.hpp"
 #include "pablo/sddf.hpp"
 #include "pablo/summary.hpp"
 #include "pablo/trace.hpp"
@@ -19,6 +24,17 @@ namespace {
 using namespace paraio;
 using pablo::IoEvent;
 using pablo::Op;
+
+/// One scenario repetition: returns (operations traced, 0 simulated
+/// seconds).
+using ScenarioFn = std::pair<double, double> (*)();
+
+struct Scenario {
+  const char* name;
+  ScenarioFn run;
+};
+
+constexpr int kOps = 100000;
 
 IoEvent sample_event(sim::Rng& rng) {
   IoEvent e;
@@ -33,79 +49,74 @@ IoEvent sample_event(sim::Rng& rng) {
   return e;
 }
 
-void BM_TraceCapture(benchmark::State& state) {
+std::pair<double, double> trace_capture() {
   sim::Rng rng(1);
   const IoEvent e = sample_event(rng);
   pablo::Trace trace;
-  for (auto _ : state) {
-    trace.on_event(e);
-  }
-  state.SetItemsProcessed(state.iterations());
+  for (int i = 0; i < kOps; ++i) trace.on_event(e);
+  bench::keep(trace.size());
+  return {kOps, 0.0};
 }
-BENCHMARK(BM_TraceCapture);
 
-void BM_LifetimeReduction(benchmark::State& state) {
+template <typename Summary, auto... Args>
+std::pair<double, double> reduction() {
   sim::Rng rng(2);
-  pablo::FileLifetimeSummary summary;
-  for (auto _ : state) {
-    summary.on_event(sample_event(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
+  Summary summary(Args...);
+  for (int i = 0; i < kOps; ++i) summary.on_event(sample_event(rng));
+  bench::keep(summary);
+  return {kOps, 0.0};
 }
-BENCHMARK(BM_LifetimeReduction);
 
-void BM_TimeWindowReduction(benchmark::State& state) {
-  sim::Rng rng(3);
-  pablo::TimeWindowSummary summary(10.0);
-  for (auto _ : state) {
-    summary.on_event(sample_event(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TimeWindowReduction);
-
-void BM_FileRegionReduction(benchmark::State& state) {
-  sim::Rng rng(4);
-  pablo::FileRegionSummary summary(1 << 20);
-  for (auto _ : state) {
-    summary.on_event(sample_event(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FileRegionReduction);
-
-void BM_AllSinksTogether(benchmark::State& state) {
+std::pair<double, double> all_sinks_together() {
   sim::Rng rng(5);
   pablo::Trace trace;
   pablo::FileLifetimeSummary lifetime;
   pablo::TimeWindowSummary window(10.0);
   pablo::FileRegionSummary region(1 << 20);
-  for (auto _ : state) {
+  for (int i = 0; i < kOps; ++i) {
     const IoEvent e = sample_event(rng);
     trace.on_event(e);
     lifetime.on_event(e);
     window.on_event(e);
     region.on_event(e);
   }
-  state.SetItemsProcessed(state.iterations());
+  bench::keep(trace.size());
+  return {kOps, 0.0};
 }
-BENCHMARK(BM_AllSinksTogether);
 
-void BM_TraceWriteRead(benchmark::State& state) {
+std::pair<double, double> trace_write_read() {
+  constexpr int kEvents = 10000;
   sim::Rng rng(6);
   pablo::Trace trace;
   trace.on_file(1, "/bench/file");
-  for (int i = 0; i < 10000; ++i) trace.on_event(sample_event(rng));
-  for (auto _ : state) {
-    std::stringstream buffer;
-    pablo::write_trace(buffer, trace);
-    const pablo::Trace loaded = pablo::read_trace(buffer);
-    benchmark::DoNotOptimize(loaded.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  for (int i = 0; i < kEvents; ++i) trace.on_event(sample_event(rng));
+  std::stringstream buffer;
+  pablo::write_trace(buffer, trace);
+  const pablo::Trace loaded = pablo::read_trace(buffer);
+  bench::keep(loaded.size());
+  return {kEvents, 0.0};
 }
-BENCHMARK(BM_TraceWriteRead);
+
+constexpr Scenario kScenarios[] = {
+    {"trace_capture", &trace_capture},
+    {"lifetime_reduction", &reduction<pablo::FileLifetimeSummary>},
+    {"time_window_reduction", &reduction<pablo::TimeWindowSummary, 10.0>},
+    {"file_region_reduction", &reduction<pablo::FileRegionSummary, 1 << 20>},
+    {"all_sinks_together", &all_sinks_together},
+    {"trace_write_read_10k", &trace_write_read},
+};
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const bench::Options opt = bench::parse_args(argc, argv);
+  const double min_wall_ms = 250.0;
+
+  std::printf("=== instrumentation microbenchmarks (ops/sec) ===\n");
+  std::vector<bench::ScenarioRecord> records;
+  for (const Scenario& s : kScenarios) {
+    records.push_back(bench::measure_best(s.name, s.run, min_wall_ms));
+  }
+  bench::report_scenarios(opt, "micro_pablo", records);
+  return 0;
+}

@@ -210,38 +210,6 @@ constexpr Scenario kScenarios[] = {
     {"handoff_under_timers_512x20", &handoff_under_timers},
 };
 
-/// Runs `s` repeatedly until at least `min_wall_ms` of host time has been
-/// measured (with one untimed warm-up rep) and reports the FASTEST rep.
-/// Best-of, not average-of: the simulator is deterministic, so every rep
-/// does identical work and the fastest one is the measurement least
-/// disturbed by scheduler preemption or a noisy co-tenant — the same
-/// reasoning as minimum-time benchmarking.  Throughput on a shared host
-/// only ever loses time to interference; it never gains any.
-bench::ScenarioRecord measure(const Scenario& s, double min_wall_ms) {
-  (void)s.run();  // warm-up: page in code, grow pools to steady state
-  double best_ms = 0.0;
-  double events = 0.0;
-  double sim_time = 0.0;
-  const bench::WallTimer total;
-  do {
-    const bench::WallTimer rep;
-    const auto [ev, st] = s.run();
-    const double ms = rep.elapsed_ms();
-    if (best_ms == 0.0 || ms < best_ms) {
-      best_ms = ms;
-      events = ev;
-      sim_time = st;
-    }
-  } while (total.elapsed_ms() < min_wall_ms);
-  bench::ScenarioRecord rec;
-  rec.name = s.name;
-  rec.events = events;
-  rec.wall_ms = best_ms;
-  rec.events_per_sec = events / (best_ms / 1000.0);
-  rec.sim_time = sim_time;
-  return rec;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -251,21 +219,10 @@ int main(int argc, char** argv) {
   const double min_wall_ms = 250.0;
 
   std::printf("=== simulation-kernel microbenchmarks (no observers) ===\n");
-  std::printf("%-28s %14s %10s %16s\n", "scenario", "events", "wall_ms",
-              "events/sec");
   std::vector<bench::ScenarioRecord> records;
-  std::string csv = "scenario,events,wall_ms,events_per_sec\n";
   for (const Scenario& s : kScenarios) {
-    const bench::ScenarioRecord rec = measure(s, min_wall_ms);
-    std::printf("%-28s %14.0f %10.1f %16.0f\n", rec.name.c_str(), rec.events,
-                rec.wall_ms, rec.events_per_sec);
-    csv += rec.name + "," + std::to_string(rec.events) + "," +
-           std::to_string(rec.wall_ms) + "," +
-           std::to_string(rec.events_per_sec) + "\n";
-    records.push_back(rec);
+    records.push_back(bench::measure_best(s.name, s.run, min_wall_ms));
   }
-
-  bench::write_csv(opt, "micro_sim.csv", csv);
-  bench::write_scenarios_json(opt, "micro_sim", records);
+  bench::report_scenarios(opt, "micro_sim", records);
   return 0;
 }

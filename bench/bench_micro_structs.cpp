@@ -1,9 +1,15 @@
-// Microbenchmarks of the data-structure substrate (google-benchmark):
-// striping arithmetic and the PPFS bookkeeping structures.  These have no
-// simulation clock, so they live apart from bench_micro_sim, whose
-// events/sec numbers feed the tracked performance trajectory.
-#include <benchmark/benchmark.h>
+// Microbenchmarks of the data-structure substrate: striping arithmetic and
+// the PPFS bookkeeping structures.  These have no simulation clock, so they
+// live apart from bench_micro_sim, whose events/sec numbers feed the
+// tracked performance trajectory; "events" here counts items processed.
+//
+//   $ bench_micro_structs [--json PATH] [--csv DIR]
+#include <cstdint>
+#include <cstdio>
+#include <utility>
+#include <vector>
 
+#include "bench_util.hpp"
 #include "pfs/stripe.hpp"
 #include "ppfs/cache.hpp"
 #include "ppfs/extent.hpp"
@@ -13,54 +19,75 @@ namespace {
 
 using namespace paraio;
 
-void BM_StripeDecompose(benchmark::State& state) {
+/// One scenario repetition: returns (items processed, 0 simulated seconds).
+using ScenarioFn = std::pair<double, double> (*)();
+
+struct Scenario {
+  const char* name;
+  ScenarioFn run;
+};
+
+std::pair<double, double> stripe_decompose() {
+  constexpr int kDecompositions = 10000;
   pfs::StripeParams params;
   params.unit = 64 * 1024;
   params.io_nodes = 16;
-  pfs::StripeMap map(params);
+  const pfs::StripeMap map(params);
   sim::Rng rng(1);
-  for (auto _ : state) {
+  for (int i = 0; i < kDecompositions; ++i) {
     const auto offset = rng.uniform_int(0, 1u << 30);
     const auto segs = map.decompose(offset, 3 * 1024 * 1024);
-    benchmark::DoNotOptimize(segs.data());
+    bench::keep(segs.data());
   }
-  state.SetItemsProcessed(state.iterations());
+  return {kDecompositions, 0.0};
 }
-BENCHMARK(BM_StripeDecompose);
 
-void BM_ExtentSetSequentialInserts(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    ppfs::ExtentSet set;
-    for (int i = 0; i < n; ++i) {
-      set.insert(static_cast<std::uint64_t>(i) * 2048, 2048);
-    }
-    benchmark::DoNotOptimize(set.total_bytes());
+std::pair<double, double> extent_set_sequential_inserts() {
+  constexpr int kInserts = 1000;
+  ppfs::ExtentSet set;
+  for (int i = 0; i < kInserts; ++i) {
+    set.insert(static_cast<std::uint64_t>(i) * 2048, 2048);
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  bench::keep(set.total_bytes());
+  return {kInserts, 0.0};
 }
-BENCHMARK(BM_ExtentSetSequentialInserts)->Arg(1000);
 
-void BM_BlockCacheLookups(benchmark::State& state) {
+std::pair<double, double> block_cache_lookups() {
+  constexpr int kLookups = 100000;
   ppfs::BlockCache cache(1024);
   for (std::uint64_t b = 0; b < 1024; ++b) cache.insert({1, b});
   sim::Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup({1, rng.uniform_int(0, 2047)}));
+  for (int i = 0; i < kLookups; ++i) {
+    bench::keep(cache.lookup({1, rng.uniform_int(0, 2047)}));
   }
-  state.SetItemsProcessed(state.iterations());
+  return {kLookups, 0.0};
 }
-BENCHMARK(BM_BlockCacheLookups);
 
-void BM_RngThroughput(benchmark::State& state) {
+std::pair<double, double> rng_next_u64() {
+  constexpr int kDraws = 1000000;
   sim::Rng rng(42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.next_u64());
-  }
-  state.SetItemsProcessed(state.iterations());
+  for (int i = 0; i < kDraws; ++i) bench::keep(rng.next_u64());
+  return {kDraws, 0.0};
 }
-BENCHMARK(BM_RngThroughput);
+
+constexpr Scenario kScenarios[] = {
+    {"stripe_decompose_3mib", &stripe_decompose},
+    {"extent_set_sequential_inserts_1k", &extent_set_sequential_inserts},
+    {"block_cache_lookups", &block_cache_lookups},
+    {"rng_next_u64", &rng_next_u64},
+};
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const bench::Options opt = bench::parse_args(argc, argv);
+  const double min_wall_ms = 250.0;
+
+  std::printf("=== data-structure microbenchmarks (items/sec) ===\n");
+  std::vector<bench::ScenarioRecord> records;
+  for (const Scenario& s : kScenarios) {
+    records.push_back(bench::measure_best(s.name, s.run, min_wall_ms));
+  }
+  bench::report_scenarios(opt, "micro_structs", records);
+  return 0;
+}
