@@ -13,10 +13,11 @@
 #               schedule-perturbation checker over the golden suite, the
 #               deadlock- and race-detector tests, the same-instant
 #               ordering suites (engine, event queue, sync primitives,
-#               channel, task group, golden traces), since that order now
-#               spans the ladder queue and the FIFO wake-up lane, and the
-#               sampler suite, since the engine's observer list fixes the
-#               order in which observers hear each event.
+#               channel, task group, golden traces, fault injection),
+#               since that order now spans the ladder queue and the FIFO
+#               wake-up lane and decides where a same-instant fault lands,
+#               and the sampler suite, since the engine's observer list
+#               fixes the order in which observers hear each event.
 #   4. obs    — paraio_stat on a small ESCAT run: the report must mention
 #               the key signals and the emitted Chrome trace must be valid
 #               JSON (paraio_stat revalidates it before writing and exits
@@ -83,17 +84,20 @@ run_stage build -DPARAIO_WERROR=ON
 # kernel, and same-instant event order.  That order spans two structures
 # (the ladder queue and the FIFO wake-up lane of src/sim/event_queue.hpp),
 # so the engine, queue, sync-primitive, channel, task-group and
-# golden-trace suites ride here too.  Observer order (newest first) and
-# the detector slots live in sim::Engine, so the race-detector,
-# race-integration and sampler suites ride along as well.
+# golden-trace suites ride here too, and so does the fault-injection suite:
+# a planned fault is an ordinary kernel event, so it follows the queue's
+# same-instant order.  Observer order (newest first) and the detector slots
+# live in sim::Engine, so the race-detector, race-integration and sampler
+# suites ride along as well.
 echo "== verify: schedule perturbation + deadlock/race detection + event order =="
 ctest --test-dir build --output-on-failure -j "${jobs}" \
-  -R 'Perturb|DeadlockDetector|RaceDetector|RaceIntegration|Sampler|TieBreak|Engine|EventQueue|Sync|Semaphore|Barrier|Latch|Channel|TaskGroup|GoldenTrace'
+  -R 'Perturb|DeadlockDetector|RaceDetector|RaceIntegration|Sampler|TieBreak|Engine|EventQueue|Sync|Semaphore|Barrier|Latch|Channel|TaskGroup|GoldenTrace|FaultInjection'
 
 # --- fault stage -----------------------------------------------------------
-# Fault injection & recovery (docs/FAULTS.md): mid-run disk failure with the
-# degraded-RAID penalty, ION crash with retry/backoff + failover, empty-plan
-# byte-identity, and the randomized fault-schedule properties.
+# Fault injection & recovery (docs/FAULTS.md): exact-time delivery and plan
+# checks, mid-run disk failure with the degraded-RAID penalty and bounded
+# rebuild, ION crash with retry/backoff + failover, and the randomized
+# fault-schedule properties.
 echo "== fault: injection & recovery suite =="
 ctest --test-dir build --output-on-failure -j "${jobs}" -R 'Fault|Recovery'
 
