@@ -71,13 +71,6 @@ void check_metrics_digest(const std::string& key_prefix,
   }
 }
 
-core::ExperimentConfig golden_escat_ppfs() {
-  core::ExperimentConfig cfg = golden_experiment(golden_escat());
-  cfg.filesystem =
-      core::FsChoice::ppfs(ppfs::PpfsParams::write_behind_aggregation());
-  return cfg;
-}
-
 void check_digests(const std::string& key_prefix,
                    const core::ExperimentConfig& config) {
   const core::ExperimentResult result = core::run_experiment(config);
@@ -136,23 +129,22 @@ TEST(GoldenMetrics, EscatOnPpfs) {
   check_metrics_digest("escat.ppfs.n8", golden_escat_ppfs());
 }
 
-// The fault-path configuration: a degraded array (no repair, so no rebuild)
-// and an ION crash/restart during the final write-behind flush, which
-// drives refusals and retries.
-core::ExperimentConfig golden_escat_ppfs_faults() {
-  core::ExperimentConfig cfg = golden_escat_ppfs();
-  cfg.fault_plan.add({5.0, fault::FaultKind::kDiskFail, 0, 1, 0.0});
-  cfg.fault_plan.add({33.0, fault::FaultKind::kIonCrash, 1, 0, 0.0});
-  cfg.fault_plan.add({33.5, fault::FaultKind::kIonRestart, 1, 0, 0.0});
-  return cfg;
-}
-
 TEST(GoldenTrace, EscatPpfsUnderFaults) {
   check_digests("escat.ppfs.n8.faults", golden_escat_ppfs_faults());
 }
 
 TEST(GoldenMetrics, EscatOnPpfsUnderFaults) {
   check_metrics_digest("escat.ppfs.n8.faults", golden_escat_ppfs_faults());
+}
+
+// The checkpoint path: eight nodes dump into the absorber's bounded log at
+// the same instant, so admission order and backpressure shape the run.
+TEST(GoldenTrace, EscatPpfsCheckpointed) {
+  check_digests("escat.ppfs.n8.ckpt", golden_escat_ppfs_ckpt());
+}
+
+TEST(GoldenMetrics, EscatOnPpfsCheckpointed) {
+  check_metrics_digest("escat.ppfs.n8.ckpt", golden_escat_ppfs_ckpt());
 }
 
 // Differential: the golden configurations rerun must reproduce the exact

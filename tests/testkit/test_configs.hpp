@@ -103,4 +103,38 @@ inline core::ExperimentConfig golden_experiment(core::AppConfig app) {
   return cfg;
 }
 
+/// ESCAT on a PPFS mount with write-behind aggregation.
+inline core::ExperimentConfig golden_escat_ppfs() {
+  core::ExperimentConfig cfg = golden_experiment(golden_escat());
+  cfg.filesystem =
+      core::FsChoice::ppfs(ppfs::PpfsParams::write_behind_aggregation());
+  return cfg;
+}
+
+/// The fault-path configuration: a degraded array (no repair, so no
+/// rebuild) and an ION crash/restart during the final write-behind flush,
+/// which drives refusals and retries.
+inline core::ExperimentConfig golden_escat_ppfs_faults() {
+  core::ExperimentConfig cfg = golden_escat_ppfs();
+  cfg.fault_plan.add({5.0, fault::FaultKind::kDiskFail, 0, 1, 0.0});
+  cfg.fault_plan.add({33.0, fault::FaultKind::kIonCrash, 1, 0, 0.0});
+  cfg.fault_plan.add({33.5, fault::FaultKind::kIonRestart, 1, 0, 0.0});
+  return cfg;
+}
+
+/// ESCAT on PPFS checkpointing through the write absorber every second
+/// cycle.  All eight nodes dump 64 KiB in 16 KiB chunks at the same
+/// instant into a log four chunks deep, so the bounded log is contended
+/// and its backpressure decides when the dump completes.
+inline core::ExperimentConfig golden_escat_ppfs_ckpt() {
+  core::ExperimentConfig cfg = golden_escat_ppfs();
+  cfg.checkpoint.enabled = true;
+  cfg.checkpoint.every = 2;
+  cfg.checkpoint.state_bytes = 64 * 1024;
+  cfg.checkpoint.chunk_bytes = 16 * 1024;
+  cfg.checkpoint.backend = ckpt::CkptBackend::kAbsorber;
+  cfg.absorber.log_capacity = 64 * 1024;
+  return cfg;
+}
+
 }  // namespace paraio::testkit
