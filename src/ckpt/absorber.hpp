@@ -9,10 +9,14 @@
 // (retry/backoff/failover) — so an ION crash during the drain degrades
 // throughput instead of stalling the application's checkpoint barrier.
 //
-// The log is bounded: when undrained (resident) bytes would exceed the
-// capacity, append() blocks until the drain frees space — backpressure, not
-// unbounded memory.  Accounting invariant, checked by
-// testkit::InvariantChecker at quiescence:
+// The log is bounded by byte credit, admitted in FIFO order: an append
+// reserves its bytes when it is admitted, before its append delay, so
+// appends in flight count against the capacity as much as resident ones.
+// An append that does not fit, or arrives while others wait, queues; each
+// drain write returns its bytes and admits waiters from the front for as
+// long as they fit — backpressure, not unbounded memory, and no barging.
+// Accounting invariant, checked by testkit::InvariantChecker at
+// quiescence:
 //
 //     acked_bytes == drained_bytes + log_resident_bytes + dirty_bytes_lost
 //
@@ -20,6 +24,7 @@
 // with a crashed drain write that exhausted recovery).
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 
@@ -33,8 +38,8 @@
 namespace paraio::ckpt {
 
 struct AbsorberParams {
-  /// Resident (appended, not yet drained) byte bound; append() blocks on
-  /// the drain when exceeded.
+  /// Bound on bytes resident or still appending; append() blocks on the
+  /// drain when admitting it would exceed this.
   std::uint64_t log_capacity = 4u << 20;
   /// Seal log segments at this payload size.
   std::uint64_t segment_bytes = 1u << 20;
@@ -55,7 +60,7 @@ struct AbsorberStats {
   std::uint64_t dirty_bytes_lost = 0;    ///< drain writes recovery gave up on
   std::uint64_t drain_writes = 0;
   std::uint64_t drain_failovers = 0;  ///< drain writes served by a substitute
-  std::uint64_t backpressure_waits = 0;
+  std::uint64_t backpressure_waits = 0;  ///< appends that blocked, once each
   std::uint64_t segments_sealed = 0;
   std::uint64_t commits = 0;
 };
@@ -91,7 +96,17 @@ class WriteAbsorber {
     std::uint32_t node = 0;
     std::uint64_t bytes = 0;
   };
+  struct Waiter {
+    std::uint64_t bytes = 0;
+    std::coroutine_handle<> handle;
+  };
 
+  /// True when `bytes` may be reserved now.  A chunk larger than the whole
+  /// capacity is admitted once nothing is reserved: it can never fit
+  /// better than that.
+  [[nodiscard]] bool fits(std::uint64_t bytes) const noexcept {
+    return reserved_ == 0 || reserved_ + bytes <= params_.log_capacity;
+  }
   sim::Task<> drain_daemon();
 
   ppfs::Ppfs& fs_;
@@ -102,7 +117,8 @@ class WriteAbsorber {
   std::uint64_t drain_seq_ = 0;   // round-robins drain writes over the IONs
   std::uint64_t drain_addr_ = 0;  // log-structured: strictly increasing
   sim::Event pending_;   // set when the queue has work for the drain
-  sim::Event drained_;   // set after each drain write frees capacity
+  std::uint64_t reserved_ = 0;  // resident plus still-appending bytes
+  std::deque<Waiter> waiters_;  // blocked appends, in arrival order
   AbsorberStats stats_;
   obs::Tracer* tracer_ = nullptr;
 };
