@@ -87,7 +87,7 @@ RecoveredState recover(const LogImage& log) {
       }
       ++replayed;
       if (r.kind == RecordKind::kData) {
-        running = fnv_mix(running, r.checksum);
+        running = digest_fold(running, r.checksum);
         epoch_bytes += r.bytes;
       } else {
         if (r.digest != running) {

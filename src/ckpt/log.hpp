@@ -3,18 +3,21 @@
 // The durable unit is a LogImage: an append-ordered sequence of segments,
 // each a run of fixed-header records protected by per-record and per-segment
 // FNV-1a checksums.  Writers append data records and, once an epoch's dump
-// is complete on every node, one commit record carrying the running digest
-// of that epoch's data records.  Because the image is append-only, crash
+// is complete on every node, one commit record carrying the digest of that
+// epoch's data records.  Because the image is append-only, crash
 // recovery is a single forward replay: records verify until the first
 // corruption or the end of the image, and everything after the last valid
 // commit record — a torn tail mid-epoch — is discarded.
 //
 // The simulator does not move real payload bytes, so a record's "contents"
 // are its descriptor (epoch, node, offset, length); the checksums and epoch
-// digests are computed over exactly those fields.  Two runs that append the
-// same descriptors in the same order therefore produce bit-identical digests
-// — which is what lets the recovery tests compare a recovered epoch against
-// the digest recorded at commit time.
+// digests are computed over exactly those fields.  An epoch digest folds its
+// records commutatively (digest_fold), so two runs that append the same
+// descriptors produce bit-identical digests whatever order same-instant
+// appends from different nodes reached the log in — which is what lets the
+// recovery tests compare a recovered epoch against the digest recorded at
+// commit time, and the schedule-perturbation checker compare it across
+// tie-break orders.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +38,18 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
     h *= kFnvPrime;
   }
   return h;
+}
+
+/// Folds one data record's checksum into its epoch's digest.  A sum of
+/// mixed checksums is commutative: the digest pins the set of records an
+/// epoch holds, not their append order.  The splitmix64 finalizer spreads
+/// each checksum over all 64 bits first, so related checksums do not cancel.
+[[nodiscard]] constexpr std::uint64_t digest_fold(std::uint64_t digest,
+                                                  std::uint64_t checksum) {
+  std::uint64_t z = checksum + 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return digest + (z ^ (z >> 31));
 }
 
 enum class RecordKind : std::uint8_t {
@@ -120,7 +135,7 @@ struct RecoveredState {
 };
 
 /// Replays `log` front to back: verifies segment and record checksums,
-/// folds data records into a running epoch digest, and accepts a commit
+/// folds data records into their epoch's digest, and accepts a commit
 /// record only when its stored digest matches.  Stops at the first
 /// corruption; everything after the last accepted commit is counted torn
 /// and discarded.  Pure — recovery of the same image always yields the
