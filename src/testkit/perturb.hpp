@@ -25,6 +25,12 @@
 // timing-only divergences informationally (timing_only_seeds) without
 // failing the run.
 //
+// At both levels each run's side ledgers must match the baseline too, since
+// the logical signature covers only the application trace: the checkpoint
+// absorber's byte ledger (which must also balance, acked == drained +
+// resident + lost), appends, commits and committed digest, and the fault
+// path's counters.
+//
 // Seeds permute via a splitmix64 key (see EventQueue::set_tie_break_seed);
 // for tiny runs exhaustive_event_limit can instead sweep a contiguous seed
 // range as a bounded approximation of all interleavings.
@@ -59,7 +65,8 @@ struct PerturbConfig {
 /// One seed whose run broke the invariance contract.
 struct Divergence {
   std::uint64_t seed = 0;
-  std::string what;    // "logical-signature" or "bit-exact-hash"
+  /// "logical-signature", "ledger" or "bit-exact-hash"
+  std::string what;
   std::string detail;  // digests, first differing event, repro instructions
 };
 

@@ -53,6 +53,30 @@ TEST(Perturb, HtfLogicallyInvariantUnder16Shuffles) {
   EXPECT_TRUE(result.ok()) << result.report();
 }
 
+// The checkpoint path: eight nodes dump into the absorber's bounded log at
+// the same instant, so the tie-break decides which append is admitted
+// first.  The checker also compares the absorber ledger, commits and
+// committed digest, which the trace signature does not cover.
+TEST(Perturb, EscatCheckpointedLogicallyInvariantUnder16Shuffles) {
+  PerturbConfig pc;
+  pc.shuffles = 16;
+  const auto result = check_schedule_invariance(golden_escat_ppfs_ckpt(), pc);
+  EXPECT_TRUE(result.ok()) << result.report();
+  EXPECT_EQ(result.runs, 16);
+}
+
+// The fault path: a degraded array and an ION crash during the final
+// flush.  The fault counters (injected, retries, refusals, degraded
+// accesses) must not depend on the schedule either.
+TEST(Perturb, EscatUnderFaultsLogicallyInvariantUnder16Shuffles) {
+  PerturbConfig pc;
+  pc.shuffles = 16;
+  const auto result =
+      check_schedule_invariance(golden_escat_ppfs_faults(), pc);
+  EXPECT_TRUE(result.ok()) << result.report();
+  EXPECT_EQ(result.runs, 16);
+}
+
 // The checker's baseline (seed 0) is the same run the golden-trace suite
 // records: its logical-signature digest must match the stored golden value.
 TEST(Perturb, BaselineSignatureMatchesGoldenStore) {
