@@ -42,7 +42,8 @@
 // expression for routing, placement, and drain thresholds) so same-instant
 // events can never be split across structures or mis-ordered relative to the
 // reference heap — tests/sim/event_queue_diff_test.cpp runs this queue, lane
-// included, in lockstep against sim::HeapEventQueue to prove it.
+// included, in lockstep against the test-only sim::HeapEventQueue
+// (tests/sim/heap_queue.hpp) to prove it.
 //
 // The queue maintains the invariant that whenever ladder events are pending,
 // the earliest one is at bottom's head — which is what lets next_time() be

@@ -17,8 +17,8 @@
 
 #include <cstdint>
 
+#include "heap_queue.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/heap_queue.hpp"
 #include "sim/random.hpp"
 #include "testkit/gen.hpp"
 
