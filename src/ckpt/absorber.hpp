@@ -15,8 +15,8 @@
 // An append that does not fit, or arrives while others wait, queues; each
 // drain write returns its bytes and admits waiters from the front for as
 // long as they fit — backpressure, not unbounded memory, and no barging.
-// Accounting invariant, checked by testkit::InvariantChecker at
-// quiescence:
+// Accounting invariant, checked at quiescence by testkit::InvariantChecker
+// on the stats() it is handed after the run (observe_absorber):
 //
 //     acked_bytes == drained_bytes + log_resident_bytes + dirty_bytes_lost
 //

@@ -56,12 +56,12 @@ template <typename Config>
 using AppFor = typename AppOf<Config>::type;
 
 /// Application wrapper so the driver can treat the application codes
-/// uniformly.
-template <typename App>
+/// uniformly.  `disk_bytes` reads the mount's disk-layer totals.
+template <typename App, typename DiskTotals>
 sim::Task<> drive(App& app, io::FileSystem& bare, ExperimentResult& result,
-                  sim::Engine& engine, pfs::IoObserver* io_observer) {
+                  sim::Engine& engine, DiskTotals disk_bytes) {
   co_await app.stage(bare);
-  if (io_observer) io_observer->on_measured_run_start();
+  result.staged_disk = disk_bytes();
   result.run_start = engine.now();
   co_await app.run();
   result.run_end = engine.now();
@@ -94,16 +94,21 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   io::FileSystem* bare = nullptr;
   if (config.filesystem.kind == FsChoice::Kind::kPfs) {
     pfs_fs = std::make_unique<pfs::Pfs>(machine, config.filesystem.pfs_params);
-    pfs_fs->set_observer(config.hooks.io);
     pfs_fs->attach_observability(metrics, tracer);
     bare = pfs_fs.get();
   } else {
     ppfs_fs =
         std::make_unique<ppfs::Ppfs>(machine, config.filesystem.ppfs_params);
-    ppfs_fs->set_observer(config.hooks.io);
     ppfs_fs->attach_observability(metrics, tracer);
     bare = ppfs_fs.get();
   }
+  const auto disk_bytes = [&]() -> DiskBytes {
+    if (pfs_fs) {
+      return {pfs_fs->counters().bytes_read, pfs_fs->counters().bytes_written};
+    }
+    return {ppfs_fs->counters().disk_bytes_read,
+            ppfs_fs->counters().disk_bytes_written};
+  };
 
   pablo::InstrumentedFs instrumented(*bare, engine);
   ExperimentResult result;
@@ -136,7 +141,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         AppFor<std::decay_t<decltype(app_config)>> app(machine, instrumented,
                                                        app_config);
         app.set_checkpoint(hook);
-        engine.spawn(drive(app, *bare, result, engine, config.hooks.io));
+        engine.spawn(drive(app, *bare, result, engine, disk_bytes));
         engine.run();
         result.phases = app.phases();
       },

@@ -20,7 +20,6 @@
 #include "obs/span.hpp"
 #include "pablo/summary.hpp"
 #include "pablo/trace.hpp"
-#include "pfs/observer.hpp"
 #include "pfs/pfs.hpp"
 #include "ppfs/ppfs.hpp"
 
@@ -50,11 +49,11 @@ struct FsChoice {
 using AppConfig = std::variant<apps::EscatConfig, apps::RenderConfig,
                                apps::HtfConfig, apps::SyntheticConfig>;
 
-/// Debug observer hooks (see sim::EngineObserver and pfs::IoObserver).
-/// The engine observer is attached for the whole simulation, the I/O
-/// observer as soon as the mount exists; io->on_measured_run_start() fires
-/// after input staging so checkers can separate staging traffic from the
-/// measured run.  All hooks default to "nothing attached".
+/// Debug and observability hooks, all defaulting to "nothing attached".
+/// The engine observer (see sim::EngineObserver) is attached for the whole
+/// simulation.  The disk layer needs no hook: checkers read the mount's
+/// counters from the result, and ExperimentResult::staged_disk separates
+/// staging traffic from the measured run.
 ///
 /// `metrics`/`tracer` opt into the obs layer: the machine's devices, the
 /// mounted file system, and (post-run) the application phases publish into
@@ -66,7 +65,6 @@ using AppConfig = std::variant<apps::EscatConfig, apps::RenderConfig,
 /// stack it was bound to is gone.
 struct ExperimentHooks {
   sim::EngineObserver* engine = nullptr;
-  pfs::IoObserver* io = nullptr;
   obs::Registry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
   sim::SimDuration sample_period = 0.0;
@@ -99,6 +97,13 @@ struct ExperimentConfig {
   ckpt::AbsorberParams absorber;
 };
 
+/// Bytes a mount moved from and to its I/O nodes: PfsCounters::bytes_*
+/// on PFS, PpfsCounters::disk_bytes_* on PPFS.
+struct DiskBytes {
+  std::uint64_t read = 0;
+  std::uint64_t written = 0;
+};
+
 struct ExperimentResult {
   pablo::Trace trace;
   apps::PhaseLog phases;
@@ -106,6 +111,9 @@ struct ExperimentResult {
   /// began (trace timestamps are >= this).
   sim::SimTime run_start = 0.0;
   sim::SimTime run_end = 0.0;
+  /// The mount's disk-layer totals at run_start: the staging traffic, which
+  /// the trace does not cover.
+  DiskBytes staged_disk;
   /// Cumulative file-system counters (physical view).
   pfs::PfsCounters pfs_counters;      // valid for Kind::kPfs mounts
   ppfs::PpfsCounters ppfs_counters;   // valid for Kind::kPpfs mounts

@@ -102,10 +102,6 @@ sim::Task<std::uint64_t> Pfs::transfer(io::NodeId node,
   if (bytes == 0) co_return 0;
 
   const auto segments = file.stripes.decompose(offset, bytes);
-  if (observer_) {
-    observer_->on_transfer(file.id, offset, bytes, is_write,
-                           file.stripes.params(), segments);
-  }
   obs::Tracer::SpanId span = 0;
   if (tracer_ != nullptr) {
     span = tracer_->begin({node, 0}, is_write ? "pfs.write" : "pfs.read",

@@ -29,7 +29,6 @@
 #include "io/file.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "pfs/observer.hpp"
 #include "pfs/stripe.hpp"
 #include "pfs/turn_gate.hpp"
 #include "sim/sync.hpp"
@@ -94,6 +93,8 @@ struct PfsCounters {
   std::uint64_t seeks = 0;
   std::uint64_t opens = 0;
   std::uint64_t closes = 0;
+  /// Bytes moved from and to the I/O nodes (reads clipped at end-of-file):
+  /// the disk-layer totals.
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   std::vector<PfsIonLoad> ions;  // indexed by I/O node
@@ -199,9 +200,6 @@ class Pfs final : public io::FileSystem {
   [[nodiscard]] const PfsCounters& counters() const noexcept { return counters_; }
   [[nodiscard]] hw::Machine& machine() noexcept { return machine_; }
 
-  /// Attaches (or, with nullptr, detaches) the data-path debug observer.
-  void set_observer(IoObserver* observer) { observer_ = observer; }
-
   /// Publishes per-stripe-server request counts and byte balance
   /// (`pfs.ion<k>.{requests,bytes}`) and mode-gate waits
   /// (`pfs.mode_wait_us` / `pfs.mode_wait_s`) into `registry`, and opens
@@ -246,7 +244,6 @@ class Pfs final : public io::FileSystem {
   std::vector<std::unique_ptr<sim::Semaphore>> ion_dir_;
   io::FileId next_file_id_ = 1;
   PfsCounters counters_;
-  IoObserver* observer_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -77,12 +77,14 @@ sim::Task<> Ppfs::control_rpc(io::NodeId node, std::uint32_t ion,
 sim::Task<> Ppfs::transfer(io::NodeId node, detail::PpfsFileObject& file,
                            std::uint64_t offset, std::uint64_t bytes,
                            bool is_write) {
-  if (bytes == 0) co_return;
-  const auto segments = file.stripes.decompose(offset, bytes);
-  if (observer_) {
-    observer_->on_transfer(file.id, offset, bytes, is_write,
-                           file.stripes.params(), segments);
+  if (!is_write) {
+    const std::uint64_t avail = file.size > offset ? file.size - offset : 0;
+    bytes = std::min(bytes, avail);
   }
+  if (bytes == 0) co_return;
+  (is_write ? counters_.disk_bytes_written : counters_.disk_bytes_read) +=
+      bytes;
+  const auto segments = file.stripes.decompose(offset, bytes);
   obs::Tracer::SpanId span = 0;
   if (tracer_ != nullptr) {
     span = tracer_->begin({node, 0}, is_write ? "ppfs.write" : "ppfs.read",
@@ -189,9 +191,8 @@ sim::Task<> Ppfs::fetch_blocks(io::NodeId node, detail::PpfsFileObject& file,
                     std::uint64_t lo_b, std::uint64_t hi_b, bool pf,
                     std::shared_ptr<sim::Event> ev) -> sim::Task<> {
       const std::uint64_t bs_ = fs.params_.block_size;
-      const std::uint64_t start = lo_b * bs_;
-      const std::uint64_t end = std::min(hi_b * bs_, std::max(f.size, start));
-      co_await fs.transfer(src, f, start, end - start, /*is_write=*/false);
+      co_await fs.transfer(src, f, lo_b * bs_, (hi_b - lo_b) * bs_,
+                           /*is_write=*/false);
       BlockCache& c = fs.node_cache(src);
       for (std::uint64_t b = lo_b; b < hi_b; ++b) {
         c.insert(BlockKey{f.id, b}, pf);
@@ -261,7 +262,6 @@ sim::Task<> Ppfs::flush_buffer(io::NodeId node,
                                detail::PpfsFileObject& file) {
   detail::WriteBuffer& buf = buffer(node, file.id);
   if (buf.extents.empty()) co_return;
-  if (observer_) observer_->on_buffer_flush(file.id, buf.buffered_bytes());
   counters_.flush_bytes.record(buf.buffered_bytes());
   auto extents = buf.extents.extents();
   buf.extents.clear();
@@ -399,10 +399,7 @@ sim::Task<std::uint64_t> PpfsFile::write_at(std::uint64_t offset,
     detail::WriteBuffer& buf = fs_.buffer(node_, object_->id);
     const std::uint64_t before = buf.buffered_bytes();
     buf.extents.insert(offset, bytes);
-    if (fs_.observer_) {
-      fs_.observer_->on_write_buffered(object_->id,
-                                       buf.buffered_bytes() - before);
-    }
+    fs_.counters_.bytes_buffered += buf.buffered_bytes() - before;
     // Local buffer copy is the only synchronous cost.
     co_await fs_.machine().engine().delay(static_cast<double>(bytes) /
                                           fs_.params().copy_rate);

@@ -31,7 +31,6 @@
 #include "io/outcome.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "pfs/observer.hpp"
 #include "pfs/stripe.hpp"
 #include "ppfs/cache.hpp"
 #include "ppfs/classifier.hpp"
@@ -94,6 +93,13 @@ struct PpfsCounters {
   std::uint64_t writes = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
+  /// Disk layer: bytes transfer() shipped from and to the I/O nodes (reads
+  /// clipped at the server-side size).
+  std::uint64_t disk_bytes_read = 0;
+  std::uint64_t disk_bytes_written = 0;
+  /// Fresh (non-overlapping) bytes that entered write buffers; they leave
+  /// through flushes, so at quiescence this equals flush_bytes.sum().
+  std::uint64_t bytes_buffered = 0;
   std::uint64_t flushes = 0;         // write-buffer flushes
   std::uint64_t flush_extents = 0;   // extents shipped by those flushes
   std::uint64_t prefetch_issued = 0;
@@ -211,10 +217,6 @@ class Ppfs final : public io::FileSystem {
   /// Per-node client cache (created on first use).
   [[nodiscard]] BlockCache& node_cache(io::NodeId node);
 
-  /// Attaches (or, with nullptr, detaches) the data-path debug observer
-  /// (shared interface with pfs::Pfs).
-  void set_observer(pfs::IoObserver* observer) { observer_ = observer; }
-
   /// Publishes client-cache hit/miss/eviction counters
   /// (`ppfs.cache.{hits,misses,evictions}`), write-behind flush sizes
   /// (`ppfs.flush.{bytes,extents}` histograms), and per-ION aggregation
@@ -226,7 +228,8 @@ class Ppfs final : public io::FileSystem {
   friend class PpfsFile;
 
   /// Raw data movement: decomposes [offset, offset+bytes) over the ION
-  /// servers and runs the segments in parallel.
+  /// servers and runs the segments in parallel.  Reads clip at the
+  /// server-side size: bytes still in a client buffer are not on disk.
   sim::Task<> transfer(io::NodeId node, detail::PpfsFileObject& file,
                        std::uint64_t offset, std::uint64_t bytes,
                        bool is_write);
@@ -288,7 +291,6 @@ class Ppfs final : public io::FileSystem {
   PpfsCounters counters_;
   fault::RecoveryStats recovery_stats_;
   sim::Rng retry_rng_;  // jitter stream; drawn from only on actual retries
-  pfs::IoObserver* observer_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "pfs/stripe.hpp"
-
 namespace paraio::testkit {
 
 void InvariantChecker::violate(std::string message) {
@@ -27,14 +25,6 @@ std::string InvariantChecker::report() const {
 
 // --- sim::EngineObserver -----------------------------------------------------
 
-void InvariantChecker::on_schedule(sim::SimTime now, sim::SimTime when) {
-  if (when < now) {
-    std::ostringstream out;
-    out << "event scheduled in the past: when=" << when << " < now=" << now;
-    violate(out.str());
-  }
-}
-
 void InvariantChecker::on_event(sim::SimTime when) {
   if (when < last_event_time_) {
     std::ostringstream out;
@@ -48,7 +38,6 @@ void InvariantChecker::on_event(sim::SimTime when) {
 void InvariantChecker::on_run_complete(sim::SimTime now,
                                        std::size_t pending_events,
                                        std::size_t live_tasks) {
-  run_completed_ = true;
   if (pending_events != 0) {
     std::ostringstream out;
     out << "run() returned with " << pending_events
@@ -61,82 +50,6 @@ void InvariantChecker::on_run_complete(sim::SimTime now,
         << " (deadlocked process?) at t=" << now;
     violate(out.str());
   }
-}
-
-// --- pfs::IoObserver ---------------------------------------------------------
-
-void InvariantChecker::on_transfer(io::FileId file, std::uint64_t offset,
-                                   std::uint64_t bytes, bool is_write,
-                                   const pfs::StripeParams& stripes,
-                                   const std::vector<pfs::Segment>& segments) {
-  std::uint64_t total = 0;
-  for (const pfs::Segment& seg : segments) {
-    total += seg.length;
-    if (seg.ion >= stripes.io_nodes) {
-      std::ostringstream out;
-      out << "segment targets I/O node " << seg.ion << " of "
-          << stripes.io_nodes << " (file " << file << ", offset " << offset
-          << ")";
-      violate(out.str());
-    }
-    if (seg.length == 0) {
-      std::ostringstream out;
-      out << "zero-length segment on I/O node " << seg.ion << " (file "
-          << file << ", offset " << offset << ")";
-      violate(out.str());
-    }
-  }
-  if (total != bytes) {
-    std::ostringstream out;
-    out << "segment lengths sum to " << total << ", request was " << bytes
-        << " bytes (file " << file << ", offset " << offset << ")";
-    violate(out.str());
-  }
-  if (segment_walks_ < options_.segment_walk_limit && bytes > 0) {
-    ++segment_walks_;
-    const pfs::StripeMap map(stripes);
-    if (map.decompose(offset, bytes) != segments) {
-      std::ostringstream out;
-      out << "segment list disagrees with an independent stripe walk (file "
-          << file << ", offset " << offset << ", " << bytes << " bytes)";
-      violate(out.str());
-    }
-  }
-
-  std::uint64_t& size = file_sizes_[file];
-  if (is_write) {
-    disk_written_ += bytes;
-    size = std::max(size, offset + bytes);
-  } else {
-    disk_read_ += bytes;
-    if (bytes > 0 && offset + bytes > size) {
-      std::ostringstream out;
-      out << "disk read of [" << offset << ", " << offset + bytes
-          << ") beyond the " << size << " bytes ever written to file "
-          << file;
-      violate(out.str());
-    }
-  }
-}
-
-void InvariantChecker::on_write_buffered(io::FileId /*file*/,
-                                         std::uint64_t new_bytes) {
-  buffered_ += new_bytes;
-}
-
-void InvariantChecker::on_buffer_flush(io::FileId /*file*/,
-                                       std::uint64_t bytes) {
-  flushed_ += bytes;
-}
-
-void InvariantChecker::on_measured_run_start() {
-  // The trace only covers the measured run; restart the disk-side ledgers so
-  // the two layers are comparable.  File sizes persist: staging created the
-  // files the measured run reads.
-  disk_read_ = 0;
-  disk_written_ = 0;
-  buffered_ = 0;
-  flushed_ = 0;
 }
 
 // --- pablo::TraceSink --------------------------------------------------------
@@ -166,6 +79,20 @@ void InvariantChecker::on_event(const pablo::IoEvent& event) {
 }
 
 // --- end-of-run checks -------------------------------------------------------
+
+void InvariantChecker::observe_disk(const pfs::PfsCounters& counters,
+                                    core::DiskBytes staged) {
+  disk_read_ = counters.bytes_read - staged.read;
+  disk_written_ = counters.bytes_written - staged.written;
+}
+
+void InvariantChecker::observe_disk(const ppfs::PpfsCounters& counters,
+                                    core::DiskBytes staged) {
+  disk_read_ = counters.disk_bytes_read - staged.read;
+  disk_written_ = counters.disk_bytes_written - staged.written;
+  buffered_ = counters.bytes_buffered;
+  flushed_ = counters.flush_bytes.sum();
+}
 
 void InvariantChecker::observe_recovery(const fault::RecoveryStats& stats) {
   have_recovery_ = true;
@@ -200,8 +127,7 @@ void InvariantChecker::finish() {
   } else {
     // PPFS: write-behind coalesces overlap, so the disk sees at most what
     // the application wrote; client caching and block-granular fetch mean
-    // no exact relation holds for reads (the per-transfer extent check
-    // still bounds them).
+    // no exact relation holds for reads.
     if (disk_written_ > app_written_) {
       std::ostringstream out;
       out << "disk wrote " << disk_written_

@@ -432,7 +432,6 @@ std::optional<std::string> run_ckpt_case(const testkit::CkptCase& c,
   sim::DeadlockDetector deadlocks(engine);
   fault::FaultInjector injector(engine, machine, c.plan);
   ppfs::Ppfs fs(machine, c.base.filesystem.ppfs_params);
-  fs.set_observer(&checker);
   ckpt::WriteAbsorber absorber(fs);
   ckpt::CheckpointCoordinator coordinator(machine, c.base.workload.nodes,
                                           c.spec, &absorber, nullptr);
@@ -442,9 +441,10 @@ std::optional<std::string> run_ckpt_case(const testkit::CkptCase& c,
   apps::Synthetic app(machine, instrumented, c.base.workload);
   app.set_checkpoint(&coordinator);
 
+  core::DiskBytes staged;
   auto drive = [&]() -> sim::Task<> {
     co_await app.stage(fs);
-    checker.on_measured_run_start();
+    staged = {fs.counters().disk_bytes_read, fs.counters().disk_bytes_written};
     co_await app.run();
   };
   engine.spawn(drive());
@@ -453,6 +453,7 @@ std::optional<std::string> run_ckpt_case(const testkit::CkptCase& c,
   if (!deadlocks.ok()) return "deadlock detector: " + deadlocks.report();
 
   for (const pablo::IoEvent& e : trace.events()) checker.on_event(e);
+  checker.observe_disk(fs.counters(), staged);
   checker.observe_recovery(fs.recovery_stats());
   checker.observe_absorber(absorber.stats());
   checker.finish();

@@ -528,15 +528,15 @@ std::optional<std::string> run_fault_case(const testkit::FaultCase& c) {
   sim::DeadlockDetector deadlocks(engine);
   fault::FaultInjector injector(engine, machine, c.plan);
   ppfs::Ppfs fs(machine, c.base.filesystem.ppfs_params);
-  fs.set_observer(&checker);
   pablo::InstrumentedFs instrumented(fs, engine);
   pablo::Trace trace;
   instrumented.add_sink(trace);
   apps::Synthetic app(machine, instrumented, c.base.workload);
 
+  core::DiskBytes staged;
   auto drive = [&]() -> sim::Task<> {
     co_await app.stage(fs);
-    checker.on_measured_run_start();
+    staged = {fs.counters().disk_bytes_read, fs.counters().disk_bytes_written};
     co_await app.run();
   };
   engine.spawn(drive());
@@ -545,6 +545,7 @@ std::optional<std::string> run_fault_case(const testkit::FaultCase& c) {
   if (!deadlocks.ok()) return "deadlock detector: " + deadlocks.report();
 
   for (const pablo::IoEvent& e : trace.events()) checker.on_event(e);
+  checker.observe_disk(fs.counters(), staged);
   const fault::RecoveryStats& rs = fs.recovery_stats();
   checker.observe_recovery(rs);  // requests == ok + failed at quiescence
   checker.finish();

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+
+#include "sim/random.hpp"
 
 namespace paraio::pfs {
 namespace {
@@ -79,6 +83,63 @@ TEST(StripeMap, SegmentsOrderedByFirstTouch) {
   EXPECT_EQ(segs[0].ion, 2u);
   EXPECT_EQ(segs[1].ion, 3u);
   EXPECT_EQ(segs[2].ion, 0u);
+}
+
+/// Reference decomposition: one stripe unit at a time, straight from the
+/// round-robin layout (unit k lives on ION (k + first_ion) mod n, at local
+/// unit k / n), merging each ION's units into one locally contiguous
+/// segment in order of first touch.
+std::vector<Segment> reference_walk(const StripeParams& p,
+                                    std::uint64_t offset,
+                                    std::uint64_t bytes) {
+  std::vector<Segment> segs;
+  const std::uint64_t end = offset + bytes;
+  for (std::uint64_t k = offset / p.unit; k * p.unit < end; ++k) {
+    const std::uint64_t lo = std::max(offset, k * p.unit);
+    const std::uint64_t hi = std::min(end, (k + 1) * p.unit);
+    const auto ion =
+        static_cast<std::uint32_t>((k + p.first_ion) % p.io_nodes);
+    const std::uint64_t local = (k / p.io_nodes) * p.unit + (lo - k * p.unit);
+    auto it = std::find_if(segs.begin(), segs.end(),
+                           [&](const Segment& s) { return s.ion == ion; });
+    if (it == segs.end()) {
+      segs.push_back(Segment{ion, local, hi - lo});
+    } else {
+      EXPECT_EQ(it->local_offset + it->length, local)
+          << "units of one ION must be locally contiguous";
+      it->length += hi - lo;
+    }
+  }
+  return segs;
+}
+
+TEST(StripeMap, RandomDecompositionsMatchAUnitByUnitWalk) {
+  sim::Rng rng(0x5791);
+  for (int i = 0; i < 2000; ++i) {
+    StripeParams p;
+    p.unit = rng.uniform_int(1, 64 * 1024);
+    p.io_nodes = static_cast<std::uint32_t>(rng.uniform_int(1, 32));
+    p.first_ion =
+        static_cast<std::uint32_t>(rng.uniform_int(0, p.io_nodes - 1));
+    const std::uint64_t offset = rng.uniform_int(0, p.unit * 1000);
+    // Up to three full rounds of the stripe set, often unaligned.
+    const std::uint64_t bytes =
+        rng.uniform_int(0, 3 * p.unit * p.io_nodes + p.unit);
+    const StripeMap map(p);
+    const std::vector<Segment> segs = map.decompose(offset, bytes);
+    SCOPED_TRACE("unit " + std::to_string(p.unit) + ", " +
+                 std::to_string(p.io_nodes) + " IONs from " +
+                 std::to_string(p.first_ion) + ", [" + std::to_string(offset) +
+                 ", +" + std::to_string(bytes) + ")");
+    std::uint64_t total = 0;
+    for (const Segment& s : segs) {
+      EXPECT_LT(s.ion, p.io_nodes);
+      EXPECT_GT(s.length, 0u);
+      total += s.length;
+    }
+    EXPECT_EQ(total, bytes);
+    EXPECT_EQ(segs, reference_walk(p, offset, bytes));
+  }
 }
 
 // Properties over a grid of units, ION counts, offsets, and lengths.

@@ -368,6 +368,37 @@ TEST(Ppfs, CountersTrackLogicalOps) {
   EXPECT_EQ(fx.fs.counters().bytes_read, 150u);
 }
 
+TEST(Ppfs, UncachedReadClipsAtServerSideSize) {
+  // 100 bytes reach the I/O nodes, then [200, 300) sits in the write
+  // buffer.  A read of [50, 150) is inside the client-visible size but
+  // only [50, 100) was ever written to disk, so only 50 bytes are read.
+  PpfsParams p;
+  p.cache_blocks = 0;
+  p.write_buffer_limit = 1 << 30;
+  Fixture fx(p);
+  std::uint64_t n = 0;
+  std::uint64_t disk_read = 0;
+  auto proc = [&]() -> sim::Task<> {
+    auto f = co_await fx.fs.open(0, "/f", create_unix());
+    co_await f->write(100);
+    co_await f->flush();
+    co_await f->seek(200);
+    co_await f->write(100);
+    co_await f->seek(50);
+    n = co_await f->read(100);
+    disk_read = fx.fs.counters().disk_bytes_read;
+    co_await f->close();
+  };
+  fx.engine.spawn(proc());
+  fx.engine.run();
+  EXPECT_EQ(n, 100u);  // the application sees the client-visible size
+  EXPECT_EQ(disk_read, 50u);
+  const PpfsCounters& c = fx.fs.counters();
+  EXPECT_EQ(c.disk_bytes_written, 200u);
+  EXPECT_EQ(c.bytes_buffered, 200u);
+  EXPECT_EQ(c.flush_bytes.sum(), c.bytes_buffered);
+}
+
 TEST(Ppfs, AsyncReadOverlaps) {
   Fixture fx;
   std::uint64_t n = 0;

@@ -123,7 +123,6 @@ TEST(SimCaseShrink, OnlyProducesSmallerWellFormedCases) {
 
 TEST(InvariantChecker, CleanFeedIsOk) {
   InvariantChecker checker;
-  checker.on_schedule(0.0, 1.0);
   checker.on_event(sim::SimTime{1.0});
   checker.on_run_complete(1.0, 0, 0);
   checker.finish();
@@ -139,54 +138,12 @@ TEST(InvariantChecker, FlagsTimeRunningBackwards) {
   EXPECT_NE(checker.report().find("ran backwards"), std::string::npos);
 }
 
-TEST(InvariantChecker, FlagsSchedulingInThePast) {
-  InvariantChecker checker;
-  checker.on_schedule(5.0, 4.0);
-  EXPECT_FALSE(checker.ok());
-  EXPECT_NE(checker.report().find("scheduled in the past"),
-            std::string::npos);
-}
-
 TEST(InvariantChecker, FlagsUndrainedRun) {
   InvariantChecker checker;
   checker.on_run_complete(1.0, 2, 1);
   EXPECT_EQ(checker.violation_count(), 2u);
   EXPECT_NE(checker.report().find("pending event"), std::string::npos);
   EXPECT_NE(checker.report().find("blocked"), std::string::npos);
-}
-
-TEST(InvariantChecker, FlagsBadSegmentDecomposition) {
-  InvariantChecker checker;
-  pfs::StripeParams stripes;
-  stripes.unit = 64 * 1024;
-  stripes.io_nodes = 2;
-  // Write first so the extent check has a size to work with.
-  const pfs::StripeMap map(stripes);
-  checker.on_transfer(1, 0, 200, /*is_write=*/true, stripes,
-                      map.decompose(0, 200));
-  EXPECT_TRUE(checker.ok());
-  // ION index out of range + lengths that do not sum to the request +
-  // disagreement with the independent stripe walk.
-  checker.on_transfer(1, 0, 200, /*is_write=*/false, stripes,
-                      {pfs::Segment{5, 0, 100}});
-  EXPECT_FALSE(checker.ok());
-  EXPECT_NE(checker.report().find("I/O node 5 of 2"), std::string::npos);
-  EXPECT_NE(checker.report().find("sum to 100"), std::string::npos);
-  EXPECT_NE(checker.report().find("independent stripe walk"),
-            std::string::npos);
-}
-
-TEST(InvariantChecker, FlagsReadBeyondWrittenExtent) {
-  InvariantChecker checker;
-  pfs::StripeParams stripes;
-  const pfs::StripeMap map(stripes);
-  checker.on_transfer(3, 0, 100, /*is_write=*/true, stripes,
-                      map.decompose(0, 100));
-  checker.on_transfer(3, 50, 100, /*is_write=*/false, stripes,
-                      map.decompose(50, 100));
-  EXPECT_FALSE(checker.ok());
-  EXPECT_NE(checker.report().find("beyond the 100 bytes ever written"),
-            std::string::npos);
 }
 
 TEST(InvariantChecker, FlagsNegativeDurationAndOverTransfer) {
@@ -210,6 +167,7 @@ TEST(InvariantChecker, FlagsConservationMismatch) {
   e.requested = 100;
   e.transferred = 100;
   checker.on_event(e);  // app layer wrote 100, disk layer saw nothing
+  checker.observe_disk(pfs::PfsCounters{}, {});
   checker.finish();
   EXPECT_FALSE(checker.ok());
   EXPECT_NE(checker.report().find("written bytes not conserved"),
@@ -220,8 +178,10 @@ TEST(InvariantChecker, FlagsUnbalancedWriteBehindLedger) {
   InvariantChecker::Options opts;
   opts.exact_conservation = false;
   InvariantChecker checker(opts);
-  checker.on_write_buffered(1, 100);
-  checker.on_buffer_flush(1, 60);
+  ppfs::PpfsCounters counters;
+  counters.bytes_buffered = 100;
+  counters.flush_bytes.record(60);
+  checker.observe_disk(counters, {});
   checker.finish();
   EXPECT_FALSE(checker.ok());
   EXPECT_NE(checker.report().find("ledger out of balance"),
@@ -230,15 +190,12 @@ TEST(InvariantChecker, FlagsUnbalancedWriteBehindLedger) {
 
 TEST(InvariantChecker, MeasuredRunStartResetsLedgers) {
   InvariantChecker checker;
-  pfs::StripeParams stripes;
-  const pfs::StripeMap map(stripes);
-  // "Staging": disk write with no matching app event...
-  checker.on_transfer(1, 0, 4096, /*is_write=*/true, stripes,
-                      map.decompose(0, 4096));
-  checker.on_measured_run_start();
-  // ...then a balanced measured run reading the staged bytes.
-  checker.on_transfer(1, 0, 4096, /*is_write=*/false, stripes,
-                      map.decompose(0, 4096));
+  // "Staging" wrote 4096 bytes with no matching app event; the measured run
+  // then read them back, balanced.
+  pfs::PfsCounters counters;
+  counters.bytes_written = 4096;
+  counters.bytes_read = 4096;
+  checker.observe_disk(counters, core::DiskBytes{.read = 0, .written = 4096});
   pablo::IoEvent e;
   e.op = pablo::Op::kRead;
   e.requested = 4096;
@@ -246,7 +203,7 @@ TEST(InvariantChecker, MeasuredRunStartResetsLedgers) {
   checker.on_event(e);
   checker.finish();
   EXPECT_TRUE(checker.ok()) << checker.report();
-  EXPECT_EQ(checker.disk_written(), 0u);  // staging write was reset away
+  EXPECT_EQ(checker.disk_written(), 0u);  // staging write was subtracted
 }
 
 // --- randomized simulation properties ---------------------------------------
@@ -264,10 +221,14 @@ std::optional<std::string> run_with_invariants(const SimCase& c,
   cfg.filesystem = c.filesystem;
   cfg.app = c.workload;
   cfg.hooks.engine = &checker;
-  cfg.hooks.io = &checker;
   core::ExperimentResult result = core::run_experiment(cfg);
   // The app-layer view: replay the captured trace into the checker.
   for (const pablo::IoEvent& e : result.trace.events()) checker.on_event(e);
+  if (c.on_ppfs()) {
+    checker.observe_disk(result.ppfs_counters, result.staged_disk);
+  } else {
+    checker.observe_disk(result.pfs_counters, result.staged_disk);
+  }
   checker.finish();
   if (out) *out = std::move(result);
   if (!checker.ok()) return checker.report();
@@ -358,9 +319,9 @@ TEST(SimulationProperties, PaperApplicationsSatisfyAllInvariants) {
   for (Named& n : apps) {
     InvariantChecker checker;  // PFS mounts: exact conservation
     n.config.hooks.engine = &checker;
-    n.config.hooks.io = &checker;
     const core::ExperimentResult result = core::run_experiment(n.config);
     for (const pablo::IoEvent& e : result.trace.events()) checker.on_event(e);
+    checker.observe_disk(result.pfs_counters, result.staged_disk);
     checker.finish();
     EXPECT_TRUE(checker.ok()) << n.name << ": " << checker.report();
   }
