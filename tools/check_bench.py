@@ -4,7 +4,9 @@
 Compares a freshly measured bench JSON (written by a bench binary's --json
 flag) against the committed baseline snapshot (BENCH_*.json at the repo
 root) and fails when any scenario's events_per_sec dropped by more than the
-threshold (default 20%).
+threshold (default 20%), or when any run's kernel event count differs from
+the snapshot's: the simulator is deterministic, so `events` is exact on
+every host and any difference is a change in what the scenario simulates.
 
     check_bench.py BASELINE CURRENT... [--threshold 0.20]
 
@@ -14,10 +16,11 @@ benchmarking across process invocations: the simulator is deterministic, so
 a run only ever loses throughput to host interference, and a real
 regression is the one thing all repetitions agree on.
 
-Exit status 1 on a regression or a scenario that disappeared from the
-current run.  Set PARAIO_BENCH_SOFT=1 to downgrade failures to warnings
-(exit 0) — for machines whose throughput is not comparable to the one the
-baseline was recorded on.  Improvements and new scenarios never fail; the
+Exit status 1 on a regression, an event-count mismatch, or a scenario that
+disappeared from the current run.  Set PARAIO_BENCH_SOFT=1 to downgrade
+throughput failures to warnings (exit 0) — for machines whose throughput is
+not comparable to the one the baseline was recorded on.  Event-count
+mismatches fail regardless: they do not depend on the host.  Improvements and new scenarios never fail; the
 expected workflow is to re-record the snapshot when they are intentional
 (see docs/PERF.md).
 """
@@ -52,8 +55,13 @@ def main():
 
     base = load_scenarios(args.baseline)
     cur = {}
+    mismatches = []
     for path in args.current:
         for name, s in load_scenarios(path).items():
+            if name in base and s["events"] != base[name]["events"]:
+                mismatches.append(
+                    f"{name}: {base[name]['events']} events in the snapshot, "
+                    f"{s['events']} in {path}")
             best = cur.get(name)
             if best is None or s["events_per_sec"] > best["events_per_sec"]:
                 cur[name] = s
@@ -85,14 +93,15 @@ def main():
         print(f"{name:<{width}}  {'(new)':>12}  "
               f"{cur[name]['events_per_sec']:>12.0f}  -")
 
-    if failures:
-        label = "warning" if soft else "error"
-        for f in failures:
-            print(f"{label}: {f}", file=sys.stderr)
-        if soft:
-            print("PARAIO_BENCH_SOFT=1: regressions downgraded to warnings",
-                  file=sys.stderr)
-            return 0
+    for m in mismatches:
+        print(f"error: {m}", file=sys.stderr)
+    label = "warning" if soft else "error"
+    for f in failures:
+        print(f"{label}: {f}", file=sys.stderr)
+    if failures and soft:
+        print("PARAIO_BENCH_SOFT=1: regressions downgraded to warnings",
+              file=sys.stderr)
+    if mismatches or (failures and not soft):
         return 1
     print("bench check OK")
     return 0
