@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "io/file.hpp"
 #include "sim/time.hpp"
@@ -34,16 +35,22 @@ enum class Op : std::uint8_t {
 inline constexpr std::size_t kOpCount = 10;
 
 /// One bracketed file operation.
+///
+/// Layout, 56 bytes: the two f64 times; node, file, op and mode in one
+/// 16-byte row (3 padding bytes after op align mode); then the three u64
+/// byte counts.  A trace holds one per operation (530,768 for an ESCAT-512
+/// job), so each byte here is half a megabyte of trace.  Trace keeps them
+/// in a realloc-grown array, which needs them trivially copyable.
 struct IoEvent {
   sim::SimTime timestamp = 0.0;      ///< operation start time
   sim::SimDuration duration = 0.0;   ///< wall (simulated) time in the call
   io::NodeId node = 0;               ///< issuing compute node
   io::FileId file = 0;               ///< target file
   Op op = Op::kRead;
+  io::AccessMode mode = io::AccessMode::kUnix;
   std::uint64_t offset = 0;          ///< file position at the start
   std::uint64_t requested = 0;       ///< bytes requested (0 for control ops)
   std::uint64_t transferred = 0;     ///< bytes actually moved
-  io::AccessMode mode = io::AccessMode::kUnix;
 
   [[nodiscard]] bool is_data_op() const {
     return op == Op::kRead || op == Op::kWrite || op == Op::kAsyncRead ||
@@ -58,5 +65,9 @@ struct IoEvent {
 
   friend bool operator==(const IoEvent&, const IoEvent&) = default;
 };
+
+static_assert(sizeof(IoEvent) == 56, "IoEvent packs into 56 bytes");
+static_assert(std::is_trivially_copyable_v<IoEvent>,
+              "Trace grows its IoEvent array with realloc");
 
 }  // namespace paraio::pablo

@@ -44,16 +44,17 @@ Trace file_stream(const Trace& trace, io::FileId file) {
 
 Trace merge(const std::vector<const Trace*>& traces) {
   Trace out;
-  std::vector<IoEvent> events;
+  std::size_t total = 0;
+  for (const Trace* t : traces) total += t->size();
+  out.reserve(total);
   for (const Trace* t : traces) {
-    events.insert(events.end(), t->events().begin(), t->events().end());
+    for (const IoEvent& e : t->events()) out.on_event(e);
     for (const auto& [id, path] : t->files()) out.on_file(id, path);
   }
-  std::stable_sort(events.begin(), events.end(),
+  std::stable_sort(out.events_, out.events_ + out.size_,
                    [](const IoEvent& a, const IoEvent& b) {
                      return a.timestamp < b.timestamp;
                    });
-  for (const auto& e : events) out.on_event(e);
   return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,18 +27,36 @@ class TraceSink {
 };
 
 /// Full event trace retained in memory.
+///
+/// The events live in one malloc'd array that on_event grows by doubling
+/// with realloc.  IoEvent is trivially copyable, and glibc serves a large
+/// realloc with mremap, so events already captured are neither copied nor
+/// faulted in again as the trace grows: a trace costs its events' bytes
+/// (56 each) plus the unused tail of the last doubling.
 class Trace final : public TraceSink {
  public:
-  void on_event(const IoEvent& event) override { events_.push_back(event); }
+  Trace() = default;
+  Trace(const Trace& other);
+  Trace(Trace&& other) noexcept;
+  /// Copy or move assignment (the argument is copied or moved in first).
+  Trace& operator=(Trace other) noexcept;
+  ~Trace() override;
+
+  void on_event(const IoEvent& event) override {
+    if (size_ == capacity_) grow();
+    events_[size_++] = event;
+  }
   void on_file(io::FileId id, const std::string& path) override {
     names_.emplace(id, path);
   }
 
-  [[nodiscard]] const std::vector<IoEvent>& events() const noexcept {
-    return events_;
+  /// The events in capture order.  The span is invalidated by the next
+  /// on_event, clear(), assignment or destruction of this trace.
+  [[nodiscard]] std::span<const IoEvent> events() const noexcept {
+    return {events_, size_};
   }
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   /// Path registered for `id`, or "file<id>" if unknown.
   [[nodiscard]] std::string file_name(io::FileId id) const;
@@ -51,17 +70,25 @@ class Trace final : public TraceSink {
   [[nodiscard]] sim::SimTime start_time() const;
   [[nodiscard]] sim::SimTime end_time() const;
 
-  void clear() {
-    events_.clear();
+  /// Drops every event and registration; the event array is kept for reuse.
+  void clear() noexcept {
+    size_ = 0;
     names_.clear();
   }
 
-  friend bool operator==(const Trace& a, const Trace& b) {
-    return a.events_ == b.events_ && a.names_ == b.names_;
-  }
+  friend bool operator==(const Trace& a, const Trace& b);
+
+  // Sorts its output in place (filter.hpp).
+  friend Trace merge(const std::vector<const Trace*>& traces);
 
  private:
-  std::vector<IoEvent> events_;
+  void grow();
+  /// Makes room for at least `capacity` events.
+  void reserve(std::size_t capacity);
+
+  IoEvent* events_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
   std::map<io::FileId, std::string> names_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace paraio::pablo {
 namespace {
 
@@ -99,7 +101,7 @@ TEST(Filter, SliceThenMergeReconstructsTrace) {
   const Trace first = slice(original, 0.0, 2.5);
   const Trace second = slice(original, 2.5, 100.0);
   const Trace rejoined = merge({&first, &second});
-  EXPECT_EQ(rejoined.events(), original.events());
+  EXPECT_TRUE(std::ranges::equal(rejoined.events(), original.events()));
 }
 
 }  // namespace
