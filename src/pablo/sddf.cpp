@@ -5,9 +5,12 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <istream>
 #include <optional>
 #include <stdexcept>
+#include <vector>
 
 namespace paraio::pablo {
 
@@ -39,12 +42,12 @@ bool is_space(char c) {
 // names the line number and text.
 class LineParser {
  public:
-  LineParser(std::size_t number, const std::string& line)
+  LineParser(std::size_t number, std::string_view line)
       : number_(number), line_(line), rest_(line) {}
 
   [[noreturn]] void fail(std::string_view what) const {
     throw std::runtime_error("trace line " + std::to_string(number_) + ": " +
-                             std::string(what) + ": " + line_);
+                             std::string(what) + ": " + std::string(line_));
   }
 
   /// The next field, or an empty view when the line is exhausted.
@@ -99,8 +102,63 @@ class LineParser {
 
  private:
   std::size_t number_;
-  const std::string& line_;
+  std::string_view line_;
   std::string_view rest_;
+};
+
+// The lines of a stream, split out of 64 KiB blocks read straight from its
+// buffer, as std::getline would split them: '\n' ends a line and is
+// dropped, and a final line without one still counts.  A line longer than
+// the block grows the block.
+class LineReader {
+ public:
+  explicit LineReader(std::istream& in)
+      : buf_(in.good() ? in.rdbuf() : nullptr) {}
+
+  /// The next line, valid until the following call; false at end of input.
+  bool next(std::string_view& line) {
+    for (;;) {
+      const std::string_view rest(block_.data() + begin_, end_ - begin_);
+      const std::size_t nl = rest.find('\n');
+      if (nl != std::string_view::npos) {
+        line = rest.substr(0, nl);
+        begin_ += nl + 1;
+        return true;
+      }
+      if (!refill()) break;
+    }
+    line = std::string_view(block_.data() + begin_, end_ - begin_);
+    begin_ = end_;
+    return !line.empty();
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 64 * 1024;
+
+  // Moves the unfinished line to the front of the block and reads after
+  // it; false when the stream has nothing more.
+  bool refill() {
+    if (buf_ == nullptr) return false;
+    const std::size_t partial = end_ - begin_;
+    if (partial == block_.size()) block_.resize(2 * block_.size());
+    std::memmove(block_.data(), block_.data() + begin_, partial);
+    begin_ = 0;
+    end_ = partial;
+    const std::streamsize got =
+        buf_->sgetn(block_.data() + partial,
+                    static_cast<std::streamsize>(block_.size() - partial));
+    if (got <= 0) {
+      buf_ = nullptr;
+      return false;
+    }
+    end_ += static_cast<std::size_t>(got);
+    return true;
+  }
+
+  std::streambuf* buf_;
+  std::vector<char> block_ = std::vector<char>(kBlock);
+  std::size_t begin_ = 0;  // the unread bytes are block_[begin_, end_)
+  std::size_t end_ = 0;
 };
 
 IoEvent parse_event(LineParser& p) {
@@ -261,11 +319,12 @@ void write_trace_file(const std::string& path, const Trace& trace) {
 
 Trace read_trace(std::istream& in) {
   Trace trace;
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
+  LineReader lines(in);
+  std::string_view line;
+  if (!lines.next(line) || line != kMagic) {
     throw std::runtime_error("bad trace magic");
   }
-  for (std::size_t number = 2; std::getline(in, line); ++number) {
+  for (std::size_t number = 2; lines.next(line); ++number) {
     if (line.empty()) continue;
     LineParser p(number, line);
     if (line[0] == '#') {

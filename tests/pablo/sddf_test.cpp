@@ -187,6 +187,88 @@ TEST(Sddf, DecimalAndUppercaseHexTimestampsLoad) {
   EXPECT_EQ(loaded.events()[1].timestamp, 1.5);
 }
 
+// --- the block line reader -------------------------------------------------
+
+// `n` events behind one #file line: their text spans several of the
+// reader's 64 KiB blocks, so records straddle block boundaries.
+Trace long_trace(int n) {
+  Trace t;
+  t.on_file(1, "/a");
+  IoEvent e;
+  e.file = 1;
+  for (int i = 0; i < n; ++i) {
+    e.timestamp = i * 0.001;
+    e.node = static_cast<io::NodeId>(i % 512);
+    e.offset = static_cast<std::uint64_t>(i) * 512;
+    e.requested = e.transferred = 512;
+    t.on_event(e);
+  }
+  return t;
+}
+
+TEST(Sddf, TraceSpanningManyBlocksRoundTrips) {
+  const Trace original = long_trace(20000);
+  std::stringstream buffer;
+  write_trace(buffer, original);
+  ASSERT_GT(buffer.str().size(), 4u * 64 * 1024);
+  EXPECT_EQ(read_trace(buffer), original);
+}
+
+TEST(Sddf, LineLongerThanReadBlockLoads) {
+  const std::string path = "/" + std::string(200 * 1024, 'p');
+  Trace original = sample_trace();
+  original.on_file(9, path);
+  std::stringstream buffer;
+  write_trace(buffer, original);
+  const Trace loaded = read_trace(buffer);
+  EXPECT_EQ(loaded.file_name(9), path);
+  EXPECT_EQ(loaded, original);
+}
+
+TEST(Sddf, FinalLineWithoutNewlineLoads) {
+  std::stringstream buffer(
+      "#SDDF-ASCII paraio-io-trace 1\nE 0x0p+0 0x1p+0 1 1 read 0 8 8 unix");
+  EXPECT_EQ(read_trace(buffer).size(), 1u);
+  std::stringstream magic_only("#SDDF-ASCII paraio-io-trace 1");
+  EXPECT_TRUE(read_trace(magic_only).empty());
+}
+
+TEST(Sddf, BlankLinesAndCarriageReturns) {
+  std::stringstream buffer(
+      "#SDDF-ASCII paraio-io-trace 1\n\n\n#file 3 /c\r\n"
+      "E 0x0p+0 0x1p+0 1 3 read 0 8 8 unix\r\n\n");
+  const Trace loaded = read_trace(buffer);
+  EXPECT_EQ(loaded.size(), 1u);    // '\r' before '\n' is field whitespace
+  EXPECT_EQ(loaded.file_name(3), "/c\r");  // but part of a #file path
+  std::stringstream crlf_magic("#SDDF-ASCII paraio-io-trace 1\r\n");
+  EXPECT_THROW(read_trace(crlf_magic), std::runtime_error);
+}
+
+TEST(Sddf, EmptyOrFailedStreamIsBadMagic) {
+  std::stringstream empty;
+  EXPECT_THROW(read_trace(empty), std::runtime_error);
+  std::stringstream failed("#SDDF-ASCII paraio-io-trace 1\n");
+  failed.setstate(std::ios::failbit);
+  EXPECT_THROW(read_trace(failed), std::runtime_error);
+}
+
+TEST(Sddf, ErrorPastFirstBlockNamesItsLine) {
+  std::stringstream buffer;
+  write_trace(buffer, long_trace(20000));
+  buffer << "E 0x0p+0 0x0p+0 1 1 read 0 8 8 bogus\n";
+  // magic, #record, #file, then 20000 records: the bad one is line 20004.
+  try {
+    (void)read_trace(buffer);
+    ADD_FAILURE() << "accepted a bad mode token";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trace line 20004: unknown mode token: "
+                        "E 0x0p+0 0x0p+0 1 1 read 0 8 8 bogus"),
+              std::string::npos)
+        << what;
+  }
+}
+
 // --- the f64 codec ----------------------------------------------------------
 
 std::string format(double v) {
