@@ -58,6 +58,21 @@ std::pair<double, double> trace_capture() {
   return {kOps, 0.0};
 }
 
+// One ESCAT-512 job's trace, 530,768 events, captured into a fresh Trace:
+// the production-size case, where the event array grows to ~30 MB.
+std::pair<double, double> trace_capture_530k() {
+  constexpr int kEscat512Events = 530768;
+  sim::Rng rng(1);
+  IoEvent e = sample_event(rng);
+  pablo::Trace trace;
+  for (int i = 0; i < kEscat512Events; ++i) {
+    e.offset = static_cast<std::uint64_t>(i);
+    trace.on_event(e);
+  }
+  bench::keep(trace.size());
+  return {kEscat512Events, 0.0};
+}
+
 template <typename Summary, auto... Args>
 std::pair<double, double> reduction() {
   sim::Rng rng(2);
@@ -99,6 +114,7 @@ std::pair<double, double> trace_write_read() {
 
 constexpr Scenario kScenarios[] = {
     {"trace_capture", &trace_capture},
+    {"trace_capture_530k", &trace_capture_530k},
     {"lifetime_reduction", &reduction<pablo::FileLifetimeSummary>},
     {"time_window_reduction", &reduction<pablo::TimeWindowSummary, 10.0>},
     {"file_region_reduction", &reduction<pablo::FileRegionSummary, 1 << 20>},

@@ -28,7 +28,9 @@
 #               BENCH_micro_sim.json snapshot: any scenario whose BEST run
 #               lands more than 20% below baseline fails.  The fault/
 #               checkpoint bench (bench_faults) is gated the same way
-#               against BENCH_faults.json.
+#               against BENCH_faults.json, and the instrumentation
+#               microbench (bench_micro_pablo) against
+#               BENCH_micro_pablo.json.
 #               PARAIO_BENCH_SOFT=1 downgrades the gate to a warning for
 #               hosts the snapshot was not recorded on (see docs/PERF.md).
 #   6. ubsan  — a tier-1 subset rebuilt under UBSanitizer alone
@@ -160,6 +162,19 @@ if [[ "${1:-}" != "--fast" ]]; then
   python3 tools/check_bench.py BENCH_faults.json \
     build-perf/bench_faults.1.json build-perf/bench_faults.2.json \
     build-perf/bench_faults.3.json
+
+  # The instrumentation microbench: trace capture (a production-size
+  # 530,768-event trace included), the real-time reductions and the SDDF
+  # write/read round trip, gated the same way.
+  echo "== perf: instrumentation microbench vs BENCH_micro_pablo.json =="
+  cmake --build build-perf -j "${jobs}" --target bench_micro_pablo
+  for rep in 1 2 3; do
+    build-perf/bench/bench_micro_pablo --json \
+      "build-perf/bench_micro_pablo.${rep}.json" > /dev/null
+  done
+  python3 tools/check_bench.py BENCH_micro_pablo.json \
+    build-perf/bench_micro_pablo.1.json build-perf/bench_micro_pablo.2.json \
+    build-perf/bench_micro_pablo.3.json
 
   # --- ubsan stage ---------------------------------------------------------
   # UBSan alone: no shadow memory, ~no slowdown, so the tier-1 kernel subset
