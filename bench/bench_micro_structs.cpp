@@ -1,18 +1,23 @@
-// Microbenchmarks of the data-structure substrate: striping arithmetic and
-// the PPFS bookkeeping structures.  These have no simulation clock, so they
-// live apart from bench_micro_sim, whose events/sec numbers feed the
-// tracked performance trajectory; "events" here counts items processed.
+// Microbenchmarks of the data-structure substrate: striping arithmetic, the
+// PPFS bookkeeping structures and the obs span and sample stores.  These
+// have no simulation clock, so they live apart from bench_micro_sim, whose
+// events/sec numbers feed the tracked performance trajectory; "events" here
+// counts items processed.
 //
 //   $ bench_micro_structs [--json PATH] [--csv DIR]
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "pfs/stripe.hpp"
 #include "ppfs/cache.hpp"
 #include "ppfs/extent.hpp"
+#include "sim/engine.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -70,11 +75,70 @@ std::pair<double, double> rng_next_u64() {
   return {kDraws, 0.0};
 }
 
+/// PFS-shaped spans: one transfer span per request with three piece spans
+/// under it, names interned once as the file systems do at attach.
+std::pair<double, double> tracer_spans() {
+  constexpr int kRequests = 200000 / 4;
+  sim::Engine engine;
+  obs::Tracer tracer;
+  tracer.bind(engine);
+  const obs::Tracer::Name read = tracer.intern("pfs.read");
+  const obs::Tracer::Name piece = tracer.intern("pfs.piece.read");
+  const obs::Tracer::Name category = tracer.intern("pfs");
+  for (int i = 0; i < kRequests; ++i) {
+    const auto node = static_cast<std::uint32_t>(i % 128);
+    const obs::Tracer::SpanId span = tracer.begin({node, 0}, read, category);
+    const obs::Tracer::SpanId a =
+        tracer.begin_child({128, 1}, piece, span, category);
+    const obs::Tracer::SpanId b =
+        tracer.begin_child({129, 1}, piece, span, category);
+    const obs::Tracer::SpanId c =
+        tracer.begin_child({130, 1}, piece, span, category);
+    tracer.end(a);
+    tracer.end(b);
+    tracer.end(c);
+    tracer.end(span);
+  }
+  bench::keep(tracer.spans()[tracer.spans().size() - 1]);
+  return {static_cast<double>(tracer.spans().size()), 0.0};
+}
+
+/// 1,000 series (half gauges, half counters) snapshotted every period for
+/// 200 periods; one series in ten changes between snapshots.
+std::pair<double, double> sampler_snapshots() {
+  constexpr int kSeries = 1000;
+  constexpr int kPeriods = 200;
+  sim::Engine engine;
+  obs::Registry registry;
+  std::vector<double> gauges(kSeries / 2, 0.0);
+  std::vector<std::uint64_t> counters(kSeries / 2, 0);
+  for (int i = 0; i < kSeries / 2; ++i) {
+    const std::string index = std::to_string(i);
+    registry.bind("g." + index, gauges[i]);
+    registry.bind("c." + index, counters[i]);
+  }
+  {
+    obs::Sampler sampler(engine, registry, 1.0);
+    for (int t = 1; t <= kPeriods; ++t) {
+      engine.call_at(t, [&gauges, &counters, t] {
+        for (std::size_t i = t % 10; i < gauges.size(); i += 10) {
+          gauges[i] += 0.5;
+          ++counters[i];
+        }
+      });
+    }
+    engine.run();
+  }
+  return {static_cast<double>(registry.samples().size()), 0.0};
+}
+
 constexpr Scenario kScenarios[] = {
     {"stripe_decompose_3mib", &stripe_decompose},
     {"extent_set_sequential_inserts_1k", &extent_set_sequential_inserts},
     {"block_cache_lookups", &block_cache_lookups},
     {"rng_next_u64", &rng_next_u64},
+    {"tracer_spans_200k", &tracer_spans},
+    {"sampler_snapshots_1k_series", &sampler_snapshots},
 };
 
 }  // namespace

@@ -28,9 +28,12 @@
 #               BENCH_micro_sim.json snapshot: any scenario whose BEST run
 #               lands more than 20% below baseline fails.  The fault/
 #               checkpoint bench (bench_faults) is gated the same way
-#               against BENCH_faults.json, and the instrumentation
+#               against BENCH_faults.json, the instrumentation
 #               microbench (bench_micro_pablo) against
-#               BENCH_micro_pablo.json.
+#               BENCH_micro_pablo.json, and the data-structure
+#               microbench (bench_micro_structs: striping, PPFS caches,
+#               the obs span and sample stores) against
+#               BENCH_micro_structs.json.
 #               PARAIO_BENCH_SOFT=1 downgrades the gate to a warning for
 #               hosts the snapshot was not recorded on (see docs/PERF.md).
 #   6. ubsan  — a tier-1 subset rebuilt under UBSanitizer alone
@@ -175,6 +178,19 @@ if [[ "${1:-}" != "--fast" ]]; then
   python3 tools/check_bench.py BENCH_micro_pablo.json \
     build-perf/bench_micro_pablo.1.json build-perf/bench_micro_pablo.2.json \
     build-perf/bench_micro_pablo.3.json
+
+  # The data-structure microbench: stripe decomposition, the PPFS extent
+  # set and block cache, and the obs span log and sampler change log.
+  echo "== perf: data-structure microbench vs BENCH_micro_structs.json =="
+  cmake --build build-perf -j "${jobs}" --target bench_micro_structs
+  for rep in 1 2 3; do
+    build-perf/bench/bench_micro_structs --json \
+      "build-perf/bench_micro_structs.${rep}.json" > /dev/null
+  done
+  python3 tools/check_bench.py BENCH_micro_structs.json \
+    build-perf/bench_micro_structs.1.json \
+    build-perf/bench_micro_structs.2.json \
+    build-perf/bench_micro_structs.3.json
 
   # --- ubsan stage ---------------------------------------------------------
   # UBSan alone: no shadow memory, ~no slowdown, so the tier-1 kernel subset

@@ -29,9 +29,11 @@ Escat::Escat(hw::Machine& machine, io::FileSystem& fs, EscatConfig config)
     : machine_(machine),
       fs_(fs),
       config_(config),
-      rng_(config.seed),
-      cycle_barrier_(
-          std::make_unique<sim::Barrier>(machine.engine(), config.nodes)) {}
+      rng_(config.seed) {
+  require_nodes("ESCAT", config.nodes, machine);
+  cycle_barrier_ =
+      std::make_unique<sim::Barrier>(machine.engine(), config.nodes);
+}
 
 sim::Task<> Escat::stage(io::FileSystem& bare_fs) {
   // Build input files large enough that every phase-1 read is satisfied.

@@ -73,6 +73,7 @@ struct EscatConfig {
 
 class Escat {
  public:
+  /// Throws std::invalid_argument unless 1 <= nodes <= compute nodes.
   Escat(hw::Machine& machine, io::FileSystem& fs, EscatConfig config = {});
 
   /// Creates the three input files (sized to satisfy phase 1's reads).

@@ -24,7 +24,9 @@ io::OpenOptions unix_read() {
 }  // namespace
 
 Htf::Htf(hw::Machine& machine, io::FileSystem& fs, HtfConfig config)
-    : machine_(machine), fs_(fs), config_(config), rng_(config.seed) {}
+    : machine_(machine), fs_(fs), config_(config), rng_(config.seed) {
+  require_nodes("HTF", config.nodes, machine);
+}
 
 sim::Task<> Htf::stage(io::FileSystem& bare_fs) {
   const std::uint64_t input_bytes =

@@ -97,6 +97,7 @@ struct HtfConfig {
 
 class Htf {
  public:
+  /// Throws std::invalid_argument unless 1 <= nodes <= compute nodes.
   Htf(hw::Machine& machine, io::FileSystem& fs, HtfConfig config = {});
 
   /// Creates the basis-set input file (uninstrumented).

@@ -1,6 +1,7 @@
 #include "apps/render.hpp"
 
 #include <deque>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -26,7 +27,13 @@ io::OpenOptions unix_read() {
 }  // namespace
 
 Render::Render(hw::Machine& machine, io::FileSystem& fs, RenderConfig config)
-    : machine_(machine), fs_(fs), config_(config), rng_(config.seed) {}
+    : machine_(machine), fs_(fs), config_(config), rng_(config.seed) {
+  if (config.renderers == 0) {
+    throw std::invalid_argument("RENDER: needs at least one renderer");
+  }
+  // The renderers, plus the gateway node right after them.
+  require_nodes("RENDER", std::uint64_t{config.renderers} + 1, machine);
+}
 
 sim::Task<> Render::stage(io::FileSystem& bare_fs) {
   const std::uint32_t n3 = config_.large_reads_3mb / 4;

@@ -60,6 +60,8 @@ struct RenderConfig {
 
 class Render {
  public:
+  /// Throws std::invalid_argument unless there is at least one renderer
+  /// and the machine has a compute node for each, plus the gateway.
   Render(hw::Machine& machine, io::FileSystem& fs, RenderConfig config = {});
 
   /// Creates the four terrain files and the view control file (run against

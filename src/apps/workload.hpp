@@ -9,6 +9,8 @@
 // the arithmetic, is what characterizes these codes.
 #pragma once
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,18 @@
 #include "sim/task.hpp"
 
 namespace paraio::apps {
+
+/// Throws std::invalid_argument unless 1 <= `nodes` <= the machine's
+/// compute nodes; `app` names the application in the message.
+inline void require_nodes(const char* app, std::uint64_t nodes,
+                          const hw::Machine& machine) {
+  if (nodes == 0 || nodes > machine.compute_nodes()) {
+    throw std::invalid_argument(
+        std::string(app) + ": " + std::to_string(nodes) +
+        " nodes do not fit a machine with " +
+        std::to_string(machine.compute_nodes()) + " compute nodes");
+  }
+}
 
 /// Named phase boundaries recorded by each application: (name, end time).
 /// The HTF per-program tables (paper Table 5) are carved out of one trace

@@ -26,6 +26,12 @@ WriteAbsorber::WriteAbsorber(ppfs::Ppfs& fs, AbsorberParams params)
 void WriteAbsorber::attach_observability(obs::Registry* registry,
                                          obs::Tracer* tracer) {
   tracer_ = tracer;
+  if (tracer != nullptr) {
+    drain_span_ = tracer->intern("ckpt.drain");
+    drain_lost_ = tracer->intern("ckpt.drain-lost");
+    ckpt_ = tracer->intern("ckpt");
+    fault_ = tracer->intern("fault");
+  }
   if (registry == nullptr) return;
   registry->bind("ckpt.log.acked_bytes", stats_.acked_bytes);
   registry->bind("ckpt.log.drained_bytes", stats_.drained_bytes);
@@ -132,7 +138,7 @@ sim::Task<> WriteAbsorber::drain_daemon() {
     ++drain_seq_;
     obs::Tracer::SpanId span = 0;
     if (tracer_ != nullptr) {
-      span = tracer_->begin({obs::kGlobalProcess, 2}, "ckpt.drain", "ckpt");
+      span = tracer_->begin({obs::kGlobalProcess, 2}, drain_span_, ckpt_);
     }
     const io::IoOutcome out = co_await fs_.submit_with_recovery(
         src, ion, kDrainBase + drain_addr_, len, /*is_write=*/true);
@@ -150,7 +156,7 @@ sim::Task<> WriteAbsorber::drain_daemon() {
       // mount's RecoveryStats.)
       stats_.dirty_bytes_lost += len;
       if (tracer_ != nullptr) {
-        tracer_->instant({obs::kGlobalProcess, 2}, "ckpt.drain-lost", "fault");
+        tracer_->instant({obs::kGlobalProcess, 2}, drain_lost_, fault_);
       }
     }
     // Hand the freed credit to blocked appends, oldest first, for as long

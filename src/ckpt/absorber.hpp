@@ -121,6 +121,11 @@ class WriteAbsorber {
   std::deque<Waiter> waiters_;  // blocked appends, in arrival order
   AbsorberStats stats_;
   obs::Tracer* tracer_ = nullptr;
+  /// Names interned in tracer_ at attach.
+  obs::Tracer::Name drain_span_ = nullptr;
+  obs::Tracer::Name drain_lost_ = nullptr;
+  obs::Tracer::Name ckpt_ = nullptr;   // span category
+  obs::Tracer::Name fault_ = nullptr;  // instant category
 };
 
 }  // namespace paraio::ckpt

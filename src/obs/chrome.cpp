@@ -120,7 +120,7 @@ std::string chrome_trace_text(const Tracer& tracer, const Registry* registry) {
     ++id;
     if (!span.closed()) continue;  // never-ended spans have no duration
     std::string& o = events.next();
-    append_name(o, span.name, span.category);
+    append_name(o, *span.name, *span.category);
     append(o, ",\"ph\":\"X\",\"pid\":", span.process, ",\"tid\":", span.track,
            ",\"ts\":", Micros{span.start},
            ",\"dur\":", Micros{span.end - span.start},
@@ -129,7 +129,7 @@ std::string chrome_trace_text(const Tracer& tracer, const Registry* registry) {
 
   for (const Tracer::Instant& mark : tracer.instants()) {
     std::string& o = events.next();
-    append_name(o, mark.name, mark.category);
+    append_name(o, *mark.name, *mark.category);
     // "s":"t" scopes the marker to its track row.
     append(o, ",\"ph\":\"i\",\"s\":\"t\",\"pid\":", mark.process,
            ",\"tid\":", mark.track, ",\"ts\":", Micros{mark.time}, '}');

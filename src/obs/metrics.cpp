@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <bit>
 #include <cstddef>
 #include <ostream>
 #include <stdexcept>
@@ -100,7 +101,7 @@ const Series<Histogram>& Registry::histogram(std::string_view name) const {
 std::string Registry::dump_text() const {
   std::string out;
   out.reserve(kBytesPerLine * (counters_.size() + gauges_.size() +
-                               histograms_.size() + samples_.size()));
+                               histograms_.size() + sample_count_));
   out += "# paraio metrics v1\n";
   for (const auto& [name, c] : counters_) {
     append(out, "counter ", name, ' ', c.value(), '\n');
@@ -114,7 +115,7 @@ std::string Registry::dump_text() const {
     out += '\n';
   }
   RepeatedValueText<append_g9> time_text;
-  for (const Sample& s : samples_) {
+  for (const Sample& s : samples()) {
     append(out, "sample ", time_text(s.time), ' ', *s.name, ' ', G9{s.value},
            '\n');
   }
@@ -143,7 +144,7 @@ void Sampler::on_event(sim::SimTime when) {
   // Snapshot once per boundary crossed; values are as of the previous
   // event, which is exact — nothing changed in the gap.
   while (when >= next_) {
-    snapshot(next_);
+    registry_.snapshot(next_);
     next_ += period_;
   }
 }
@@ -152,16 +153,79 @@ void Sampler::on_run_complete(sim::SimTime now, std::size_t pending_events,
                               std::size_t live_tasks) {
   (void)pending_events;
   (void)live_tasks;
-  snapshot(now);  // final values, so every series reaches the run end
+  // Final values, so every series reaches the run end.
+  registry_.snapshot(now);
 }
 
-void Sampler::snapshot(sim::SimTime at) {
-  for (const auto& [name, g] : registry_.gauges_) {
-    registry_.samples_.push_back({at, &name, g.value()});
+void Registry::snapshot(sim::SimTime at) {
+  const auto index = static_cast<std::uint32_t>(snapshots_.size());
+  const auto log = [&](auto& series, double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    std::uint32_t& slot = series.sample_slot_;
+    if (slot == kNotSampled) {
+      slot = static_cast<std::uint32_t>(sampled_.size());
+      sampled_.push_back({bits, index});
+    } else if (sampled_[slot].last_bits == bits) {
+      return;
+    } else {
+      sampled_[slot].last_bits = bits;
+    }
+    changes_.push_back({slot, value});
+  };
+  // Newly bound series take one slot each; size the slot table once.
+  const std::size_t series = gauges_.size() + counters_.size();
+  if (sampled_.capacity() < series) sampled_.reserve(series);
+  for (auto& [name, g] : gauges_) log(g, g.value());
+  for (auto& [name, c] : counters_) log(c, static_cast<double>(c.value()));
+  snapshots_.push_back({at, changes_.size()});
+  sample_count_ += series;
+}
+
+Registry::SampleView::iterator::iterator(const Registry& registry)
+    : registry_(&registry),
+      values_(registry.sampled_.size()),
+      remaining_(registry.sample_count_) {
+  if (remaining_ == 0) return;
+  const auto add = [this](const auto& map) {
+    for (const auto& [name, series] : map) {
+      const std::uint32_t slot = series.sample_slot_;
+      if (slot == kNotSampled) continue;  // bound after the last snapshot
+      order_.push_back(
+          {&name, slot, registry_->sampled_[slot].first_snapshot});
+    }
+  };
+  add(registry.gauges_);
+  add(registry.counters_);
+  settle();
+}
+
+Registry::SampleView::iterator& Registry::SampleView::iterator::operator++() {
+  if (--remaining_ != 0) {
+    ++pos_;
+    settle();
   }
-  for (const auto& [name, c] : registry_.counters_) {
-    registry_.samples_.push_back({at, &name, static_cast<double>(c.value())});
+  return *this;
+}
+
+void Registry::SampleView::iterator::settle() {
+  const auto& snapshots = registry_->snapshots_;
+  while (true) {
+    // Replay this snapshot's changes once, on arriving at its first series.
+    if (pos_ == 0) {
+      for (; change_ < snapshots[snapshot_].changes_end; ++change_) {
+        const Change& c = registry_->changes_[change_];
+        values_[c.slot] = c.value;
+      }
+    }
+    while (pos_ < order_.size() && order_[pos_].first_snapshot > snapshot_) {
+      ++pos_;
+    }
+    if (pos_ < order_.size()) break;
+    ++snapshot_;
+    pos_ = 0;
   }
+  const Entry& e = order_[pos_];
+  current_ = {snapshots[snapshot_].time, e.name, values_[e.slot]};
 }
 
 }  // namespace paraio::obs

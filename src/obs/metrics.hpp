@@ -20,6 +20,10 @@
 //    registry must leave golden trace digests bit-identical.
 //  * Ordered storage only — series live in std::map nodes so iteration and
 //    the text dump are deterministic (and sample name pointers are stable).
+//
+// Snapshots are stored as changes: each snapshot logs only the series
+// whose value differs, bit for bit, from that series' previous snapshot,
+// and samples() replays the log into the full per-snapshot sequence.
 #pragma once
 
 #include <array>
@@ -28,11 +32,13 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/chunked_log.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -92,6 +98,9 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
+/// Sample slot of a series the sampler has not seen yet.
+inline constexpr std::uint32_t kNotSampled = ~std::uint32_t{0};
+
 /// One published series, read through to the field that stores it (or to
 /// an accessor summing lazily created owners) until Registry::freeze()
 /// latches the current value.
@@ -120,6 +129,8 @@ class Series {
   const T* field_ = nullptr;
   Accessor read_;
   T frozen_{};
+  /// This series' index in the registry's sample log, once sampled.
+  std::uint32_t sample_slot_ = kNotSampled;
 };
 
 /// Monotonically increasing event count (requests, seeks, cache hits...).
@@ -140,6 +151,67 @@ class Registry {
     sim::SimTime time = 0.0;
     const std::string* name = nullptr;  // points into this registry's maps
     double value = 0.0;
+  };
+
+  /// Every snapshot value, rebuilt from the change log: snapshot by
+  /// snapshot, the gauges then the counters present at that snapshot, each
+  /// in name order.  size() is O(1); iteration is single-pass.
+  class SampleView {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = Sample;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Sample*;
+      using reference = const Sample&;
+
+      iterator() = default;  // the end
+      reference operator*() const noexcept { return current_; }
+      pointer operator->() const noexcept { return &current_; }
+      iterator& operator++();
+      iterator operator++(int) {
+        iterator before = *this;
+        ++*this;
+        return before;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) noexcept {
+        return a.remaining_ == b.remaining_;
+      }
+
+     private:
+      friend class SampleView;
+      explicit iterator(const Registry& registry);
+      /// Moves to the first series at or after order_[pos_] that the
+      /// current snapshot holds, replaying later snapshots as needed.
+      void settle();
+
+      struct Entry {
+        const std::string* name;
+        std::uint32_t slot;
+        std::uint32_t first_snapshot;
+      };
+      const Registry* registry_ = nullptr;
+      std::vector<Entry> order_;   // gauges then counters, in name order
+      std::vector<double> values_;  // by slot, as of snapshot_
+      std::size_t snapshot_ = 0;
+      std::size_t pos_ = 0;
+      std::size_t change_ = 0;
+      std::size_t remaining_ = 0;  // samples not yet passed, current_ included
+      Sample current_;
+    };
+
+    explicit SampleView(const Registry& registry) noexcept
+        : registry_(&registry) {}
+    [[nodiscard]] std::size_t size() const noexcept {
+      return registry_->sample_count_;
+    }
+    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+    [[nodiscard]] iterator begin() const { return iterator(*registry_); }
+    [[nodiscard]] iterator end() const noexcept { return {}; }
+
+   private:
+    const Registry* registry_;
   };
 
   void bind(std::string_view name, const std::uint64_t& field);
@@ -171,8 +243,12 @@ class Registry {
   [[nodiscard]] const HistogramMap& histograms() const noexcept {
     return histograms_;
   }
-  [[nodiscard]] const std::vector<Sample>& samples() const noexcept {
-    return samples_;
+  [[nodiscard]] SampleView samples() const noexcept {
+    return SampleView(*this);
+  }
+  /// Values the change log actually stores (<= samples().size()).
+  [[nodiscard]] std::size_t stored_samples() const noexcept {
+    return changes_.size();
   }
 
   /// Deterministic plain-text dump: metrics sorted by name, then the
@@ -183,13 +259,37 @@ class Registry {
  private:
   friend class Sampler;
 
+  /// Reads every gauge and counter and logs those that changed.
+  void snapshot(sim::SimTime at);
+
+  /// One logged value: 16 bytes.
+  struct Change {
+    std::uint32_t slot = 0;
+    double value = 0.0;
+  };
+  struct Snapshot {
+    sim::SimTime time = 0.0;
+    std::size_t changes_end = 0;  // this snapshot's changes end here
+  };
+  /// A sampled series' last logged value and the snapshot it first
+  /// appeared in (series may be bound mid-run).
+  struct SampledSeries {
+    std::uint64_t last_bits = 0;
+    std::uint32_t first_snapshot = 0;
+  };
+
   CounterMap counters_;
   GaugeMap gauges_;
   HistogramMap histograms_;
-  std::vector<Sample> samples_;
+  std::vector<SampledSeries> sampled_;  // by sample slot
+  ChunkedLog<Snapshot> snapshots_;
+  ChunkedLog<Change> changes_;
+  std::size_t sample_count_ = 0;  // logical samples, changed or not
 };
 
-/// Periodic simulated-time snapshots of every gauge and counter.
+/// Periodic simulated-time snapshots of every gauge and counter.  A value
+/// equal (bit for bit) to the series' previous one is not stored again;
+/// Registry::samples() still yields it.
 ///
 /// Deliberately NOT a spawned daemon: a coroutine looping on
 /// `co_await engine.delay(period)` would keep the event queue non-empty so
@@ -213,8 +313,6 @@ class Sampler final : public sim::EngineObserver {
                        std::size_t live_tasks) override;
 
  private:
-  void snapshot(sim::SimTime at);
-
   sim::Engine& engine_;
   Registry& registry_;
   sim::SimDuration period_;

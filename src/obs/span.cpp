@@ -5,34 +5,28 @@
 
 namespace paraio::obs {
 
-Tracer::SpanId Tracer::begin(Track at, std::string name,
-                             std::string category) {
+Tracer::Name Tracer::intern(std::string_view text) {
+  auto it = names_.find(text);
+  if (it == names_.end()) it = names_.emplace(text).first;
+  return &*it;
+}
+
+Tracer::SpanId Tracer::begin(Track at, Name name, Name category) {
   assert(engine_ != nullptr && "Tracer::bind must precede begin()");
-  Span span;
-  span.name = std::move(name);
-  span.category = std::move(category);
-  span.process = at.process;
-  span.track = at.track;
-  span.start = engine_->now();
   auto& stack = open_[{at.process, at.track}];
-  if (!stack.empty()) span.parent = stack.back();
-  spans_.push_back(std::move(span));
+  const SpanId parent = stack.empty() ? 0 : stack.back();
+  spans_.push_back(
+      {name, category, at.process, at.track, engine_->now(), -1.0, parent});
   const SpanId id = spans_.size();
   stack.push_back(id);
   return id;
 }
 
-Tracer::SpanId Tracer::begin_child(Track at, std::string name, SpanId parent,
-                                   std::string category) {
+Tracer::SpanId Tracer::begin_child(Track at, Name name, SpanId parent,
+                                   Name category) {
   assert(engine_ != nullptr && "Tracer::bind must precede begin_child()");
-  Span span;
-  span.name = std::move(name);
-  span.category = std::move(category);
-  span.process = at.process;
-  span.track = at.track;
-  span.start = engine_->now();
-  span.parent = parent;
-  spans_.push_back(std::move(span));
+  spans_.push_back(
+      {name, category, at.process, at.track, engine_->now(), -1.0, parent});
   return spans_.size();
 }
 
@@ -48,27 +42,15 @@ void Tracer::end(SpanId id) {
   if (it != stack.rend()) stack.erase(std::next(it).base());
 }
 
-void Tracer::instant(Track at, std::string name, std::string category) {
+void Tracer::instant(Track at, Name name, Name category) {
   assert(engine_ != nullptr && "Tracer::bind must precede instant()");
-  Instant mark;
-  mark.name = std::move(name);
-  mark.category = std::move(category);
-  mark.process = at.process;
-  mark.track = at.track;
-  mark.time = engine_->now();
-  instants_.push_back(std::move(mark));
+  instants_.push_back({name, category, at.process, at.track, engine_->now()});
 }
 
-void Tracer::complete(Track at, std::string name, sim::SimTime start,
-                      sim::SimTime end, std::string category) {
-  Span span;
-  span.name = std::move(name);
-  span.category = std::move(category);
-  span.process = at.process;
-  span.track = at.track;
-  span.start = start;
-  span.end = end;
-  spans_.push_back(std::move(span));
+void Tracer::complete(Track at, std::string_view name, sim::SimTime start,
+                      sim::SimTime end, std::string_view category) {
+  spans_.push_back({intern(name), intern(category), at.process, at.track,
+                    start, end, 0});
 }
 
 }  // namespace paraio::obs

@@ -43,6 +43,7 @@ FileObject::FileObject(sim::Engine& engine, io::FileId id_, std::string name_,
 
 Pfs::Pfs(hw::Machine& machine, PfsParams params)
     : machine_(machine), params_(std::move(params)) {
+  StripeMap::check(stripe_params());
   counters_.ions.resize(machine_.io_nodes());
   ion_control_.reserve(machine_.io_nodes());
   ion_dir_.reserve(machine_.io_nodes());
@@ -53,8 +54,22 @@ Pfs::Pfs(hw::Machine& machine, PfsParams params)
   }
 }
 
+StripeParams Pfs::stripe_params() const {
+  StripeParams sp;
+  sp.unit = params_.stripe_unit;
+  sp.io_nodes = static_cast<std::uint32_t>(machine_.io_nodes());
+  return sp;
+}
+
 void Pfs::attach_observability(obs::Registry* registry, obs::Tracer* tracer) {
   tracer_ = tracer;
+  if (tracer != nullptr) {
+    transfer_span_[0] = tracer->intern("pfs.read");
+    transfer_span_[1] = tracer->intern("pfs.write");
+    piece_span_[0] = tracer->intern("pfs.piece.read");
+    piece_span_[1] = tracer->intern("pfs.piece.write");
+    category_ = tracer->intern("pfs");
+  }
   if (registry == nullptr) return;
   for (std::size_t i = 0; i < counters_.ions.size(); ++i) {
     const std::string prefix = "pfs.ion" + std::to_string(i);
@@ -104,8 +119,7 @@ sim::Task<std::uint64_t> Pfs::transfer(io::NodeId node,
   const auto segments = file.stripes.decompose(offset, bytes);
   obs::Tracer::SpanId span = 0;
   if (tracer_ != nullptr) {
-    span = tracer_->begin({node, 0}, is_write ? "pfs.write" : "pfs.read",
-                          "pfs");
+    span = tracer_->begin({node, 0}, transfer_span_[is_write], category_);
   }
   sim::TaskGroup group(machine_.engine());
   for (const Segment& seg : segments) {
@@ -117,9 +131,9 @@ sim::Task<std::uint64_t> Pfs::transfer(io::NodeId node,
       const io::NodeId ion_node = fs.machine_.ion_node_id(s.ion);
       obs::Tracer::SpanId piece_span = 0;
       if (fs.tracer_ != nullptr) {
-        piece_span = fs.tracer_->begin_child(
-            {ion_node, 1}, write ? "pfs.piece.write" : "pfs.piece.read",
-            parent, "pfs");
+        piece_span = fs.tracer_->begin_child({ion_node, 1},
+                                             fs.piece_span_[write], parent,
+                                             fs.category_);
       }
       // Ship data (write) or the request (read) to the I/O node.
       co_await fs.machine_.net().send(
@@ -186,11 +200,8 @@ sim::Task<io::FilePtr> Pfs::open(io::NodeId node, const std::string& path,
       throw std::invalid_argument("open of missing file without create: " +
                                   path);
     }
-    StripeParams sp;
-    sp.unit = params_.stripe_unit;
-    sp.io_nodes = static_cast<std::uint32_t>(machine_.io_nodes());
     auto object = std::make_shared<detail::FileObject>(
-        machine_.engine(), next_file_id_++, path, sp, options);
+        machine_.engine(), next_file_id_++, path, stripe_params(), options);
     it = files_.emplace(path, std::move(object)).first;
   } else if (options.truncate) {
     it->second->size = 0;

@@ -189,6 +189,8 @@ class PfsFile final : public io::File {
 
 class Pfs final : public io::FileSystem {
  public:
+  /// Throws std::invalid_argument for a zero stripe unit or a machine
+  /// without I/O nodes.
   Pfs(hw::Machine& machine, PfsParams params = {});
 
   [[nodiscard]] sim::Task<io::FilePtr> open(io::NodeId node, const std::string& path,
@@ -208,6 +210,9 @@ class Pfs final : public io::FileSystem {
 
  private:
   friend class PfsFile;
+
+  /// Striping of every file on this mount.
+  [[nodiscard]] StripeParams stripe_params() const;
 
   /// Serialized metadata RPC against `ion`'s file-metadata control server.
   sim::Task<> control_rpc(io::NodeId node, std::uint32_t ion,
@@ -245,6 +250,10 @@ class Pfs final : public io::FileSystem {
   io::FileId next_file_id_ = 1;
   PfsCounters counters_;
   obs::Tracer* tracer_ = nullptr;
+  /// Span names interned in tracer_ at attach, indexed by is_write.
+  obs::Tracer::Name transfer_span_[2] = {};
+  obs::Tracer::Name piece_span_[2] = {};
+  obs::Tracer::Name category_ = nullptr;
 };
 
 }  // namespace paraio::pfs

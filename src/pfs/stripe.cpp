@@ -2,13 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace paraio::pfs {
 
+void StripeMap::check(const StripeParams& params) {
+  if (params.unit == 0) {
+    throw std::invalid_argument("pfs::StripeMap: stripe unit must be > 0");
+  }
+  if (params.io_nodes == 0) {
+    throw std::invalid_argument("pfs::StripeMap: io_nodes must be > 0");
+  }
+  if (params.first_ion >= params.io_nodes) {
+    throw std::invalid_argument(
+        "pfs::StripeMap: first_ion " + std::to_string(params.first_ion) +
+        " must be < io_nodes " + std::to_string(params.io_nodes));
+  }
+}
+
 StripeMap::StripeMap(const StripeParams& params) : params_(params) {
-  assert(params_.unit > 0);
-  assert(params_.io_nodes > 0);
-  assert(params_.first_ion < params_.io_nodes);
+  check(params_);
 }
 
 std::uint32_t StripeMap::ion_of(std::uint64_t offset) const {

@@ -30,7 +30,13 @@ struct Segment {
 
 class StripeMap {
  public:
+  /// Throws std::invalid_argument unless `unit` and `io_nodes` are nonzero
+  /// and `first_ion` < `io_nodes` (see check()).
   explicit StripeMap(const StripeParams& params);
+
+  /// Throws std::invalid_argument naming the first bad field of `params`;
+  /// every build type checks, since a zero divisor would trap later.
+  static void check(const StripeParams& params);
 
   /// I/O node holding the stripe that contains file offset `offset`.
   [[nodiscard]] std::uint32_t ion_of(std::uint64_t offset) const;

@@ -31,6 +31,10 @@ void IonServer::attach_observability(obs::Registry& registry,
                                      const std::string& prefix,
                                      obs::Tracer* tracer) {
   tracer_ = tracer;
+  if (tracer != nullptr) {
+    batch_span_ = tracer->intern("ppfs.batch");
+    category_ = tracer->intern("ppfs");
+  }
   registry.bind(prefix + ".batch_requests", stats_.batch_requests);
   registry.bind(prefix + ".cache_hits", stats_.cache_hits);
   registry.bind(prefix + ".cache_misses", stats_.cache_misses);
@@ -165,7 +169,7 @@ sim::Task<> IonServer::serve() {
     obs::Tracer::SpanId span = 0;
     if (tracer_ != nullptr) {
       span = tracer_->begin({machine_.ion_node_id(ion_index_), 2},
-                            "ppfs.batch", "ppfs");
+                            batch_span_, category_);
     }
 
     // Service in disk-address order, merging physically close extents into

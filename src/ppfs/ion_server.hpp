@@ -107,6 +107,8 @@ class IonServer {
   std::uint32_t seen_epoch_ = 0;  // wipe cache_ when the ION restarts
   IonServerStats stats_;
   obs::Tracer* tracer_ = nullptr;
+  obs::Tracer::Name batch_span_ = nullptr;  // interned in tracer_ at attach
+  obs::Tracer::Name category_ = nullptr;
 };
 
 }  // namespace paraio::ppfs

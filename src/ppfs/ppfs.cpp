@@ -16,6 +16,7 @@ Ppfs::Ppfs(hw::Machine& machine, PpfsParams params)
     : machine_(machine),
       params_(params),
       retry_rng_(params.recovery.jitter_seed) {
+  pfs::StripeMap::check(stripe_params());
   servers_.reserve(machine_.io_nodes());
   ion_control_.reserve(machine_.io_nodes());
   for (std::size_t i = 0; i < machine_.io_nodes(); ++i) {
@@ -27,8 +28,24 @@ Ppfs::Ppfs(hw::Machine& machine, PpfsParams params)
   }
 }
 
+pfs::StripeParams Ppfs::stripe_params() const {
+  pfs::StripeParams sp;
+  sp.unit = params_.block_size;
+  sp.io_nodes = static_cast<std::uint32_t>(machine_.io_nodes());
+  return sp;
+}
+
 void Ppfs::attach_observability(obs::Registry* registry, obs::Tracer* tracer) {
   tracer_ = tracer;
+  if (tracer != nullptr) {
+    names_ = {{tracer->intern("ppfs.read"), tracer->intern("ppfs.write")},
+              tracer->intern("ppfs.flush"),
+              tracer->intern("ppfs"),
+              tracer->intern("ppfs.io-error"),
+              tracer->intern("ppfs.retry"),
+              tracer->intern("ppfs.failover"),
+              tracer->intern("fault")};
+  }
   if (registry == nullptr) return;
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     servers_[i]->attach_observability(*registry,
@@ -87,8 +104,7 @@ sim::Task<> Ppfs::transfer(io::NodeId node, detail::PpfsFileObject& file,
   const auto segments = file.stripes.decompose(offset, bytes);
   obs::Tracer::SpanId span = 0;
   if (tracer_ != nullptr) {
-    span = tracer_->begin({node, 0}, is_write ? "ppfs.write" : "ppfs.read",
-                          "ppfs");
+    span = tracer_->begin({node, 0}, names_.transfer[is_write], names_.ppfs);
   }
   sim::TaskGroup group(machine_.engine());
   for (const pfs::Segment& seg : segments) {
@@ -100,7 +116,7 @@ sim::Task<> Ppfs::transfer(io::NodeId node, detail::PpfsFileObject& file,
       // recovery_stats() (dirty_bytes_lost for writes); mark the client's
       // timeline so degraded runs are visible in the Chrome trace.
       if (!r.ok() && fs.tracer_ != nullptr) {
-        fs.tracer_->instant({src, 0}, "ppfs.io-error", "fault");
+        fs.tracer_->instant({src, 0}, fs.names_.io_error, fs.names_.fault);
       }
     };
     group.spawn(piece(*this, node, file, seg, is_write));
@@ -124,7 +140,9 @@ sim::Task<io::IoOutcome> Ppfs::submit_with_recovery(io::NodeId node,
     ++attempts;
     if (out.ok() || attempts > rp.max_retries) break;
     ++recovery_stats_.retries;
-    if (tracer_ != nullptr) tracer_->instant({node, 0}, "ppfs.retry", "fault");
+    if (tracer_ != nullptr) {
+      tracer_->instant({node, 0}, names_.retry, names_.fault);
+    }
     if (out.error == io::IoErrc::kTimeout) ++recovery_stats_.timeouts;
     if (out.error == io::IoErrc::kIonDown) ++recovery_stats_.refused;
     // Exponential backoff with seeded jitter: base * 2^(attempt-1), clamped,
@@ -155,7 +173,7 @@ sim::Task<io::IoOutcome> Ppfs::submit_with_recovery(io::NodeId node,
         ++recovery_stats_.failovers;
         recovery_stats_.failover_bytes += length;
         if (tracer_ != nullptr) {
-          tracer_->instant({node, 0}, "ppfs.failover", "fault");
+          tracer_->instant({node, 0}, names_.failover, names_.fault);
         }
       }
     }
@@ -269,7 +287,9 @@ sim::Task<> Ppfs::flush_buffer(io::NodeId node,
   counters_.flush_extents += extents.size();
   counters_.flush_extent_counts.record(extents.size());
   obs::Tracer::SpanId span = 0;
-  if (tracer_ != nullptr) span = tracer_->begin({node, 0}, "ppfs.flush", "ppfs");
+  if (tracer_ != nullptr) {
+    span = tracer_->begin({node, 0}, names_.flush, names_.ppfs);
+  }
   sim::TaskGroup group(machine_.engine());
   for (const Extent& ext : extents) {
     auto ship = [](Ppfs& fs, io::NodeId src, detail::PpfsFileObject& f,
@@ -308,12 +328,9 @@ sim::Task<io::FilePtr> Ppfs::open(io::NodeId node, const std::string& path,
       throw std::invalid_argument("open of missing file without create: " +
                                   path);
     }
-    pfs::StripeParams sp;
-    sp.unit = params_.block_size;
-    sp.io_nodes = static_cast<std::uint32_t>(machine_.io_nodes());
     it = files_
              .emplace(path, std::make_shared<detail::PpfsFileObject>(
-                                next_file_id_++, path, sp))
+                                next_file_id_++, path, stripe_params()))
              .first;
   } else if (options.truncate) {
     it->second->size = 0;

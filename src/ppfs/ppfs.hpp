@@ -185,6 +185,8 @@ class PpfsFile final : public io::File {
 
 class Ppfs final : public io::FileSystem {
  public:
+  /// Throws std::invalid_argument for a zero block size (the stripe unit)
+  /// or a machine without I/O nodes.
   Ppfs(hw::Machine& machine, PpfsParams params = {});
 
   [[nodiscard]] sim::Task<io::FilePtr> open(io::NodeId node, const std::string& path,
@@ -226,6 +228,9 @@ class Ppfs final : public io::FileSystem {
 
  private:
   friend class PpfsFile;
+
+  /// Striping of every file on this mount (in block_size units).
+  [[nodiscard]] pfs::StripeParams stripe_params() const;
 
   /// Raw data movement: decomposes [offset, offset+bytes) over the ION
   /// servers and runs the segments in parallel.  Reads clip at the
@@ -292,6 +297,16 @@ class Ppfs final : public io::FileSystem {
   fault::RecoveryStats recovery_stats_;
   sim::Rng retry_rng_;  // jitter stream; drawn from only on actual retries
   obs::Tracer* tracer_ = nullptr;
+  /// Names interned in tracer_ at attach.
+  struct TraceNames {
+    obs::Tracer::Name transfer[2] = {};  // indexed by is_write
+    obs::Tracer::Name flush = nullptr;
+    obs::Tracer::Name ppfs = nullptr;  // span category
+    obs::Tracer::Name io_error = nullptr;
+    obs::Tracer::Name retry = nullptr;
+    obs::Tracer::Name failover = nullptr;
+    obs::Tracer::Name fault = nullptr;  // instant category
+  } names_;
 };
 
 }  // namespace paraio::ppfs

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "analysis/tables.hpp"
 #include "analysis/timeline.hpp"
 #include "core/experiment.hpp"
+#include "hw/machine.hpp"
+#include "pfs/pfs.hpp"
+#include "sim/engine.hpp"
 
 namespace paraio::apps {
 namespace {
@@ -13,6 +18,27 @@ namespace {
 using analysis::OperationTable;
 using analysis::SizeTable;
 using pablo::Op;
+
+// More nodes than the machine has would index past its compute nodes, and
+// zero nodes would run no application at all: both are refused up front.
+TEST(EscatConfig, RejectsNodeCountsTheMachineCannotHold) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(8, 2));
+  pfs::Pfs fs(machine);
+  for (const std::uint32_t nodes : {0u, 9u, 200u}) {
+    EscatConfig config;
+    config.nodes = nodes;
+    EXPECT_THROW(Escat(machine, fs, config), std::invalid_argument) << nodes;
+  }
+  EscatConfig config;
+  config.nodes = 8;
+  EXPECT_NO_THROW(Escat(machine, fs, config));
+
+  // The same check stops run_experiment before any event runs.
+  core::ExperimentConfig cfg = core::escat_experiment();
+  std::get<EscatConfig>(cfg.app).nodes = 200;
+  EXPECT_THROW((void)core::run_experiment(cfg), std::invalid_argument);
+}
 
 const core::ExperimentResult& result() {
   static const core::ExperimentResult r =

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "analysis/pattern.hpp"
 #include "analysis/tables.hpp"
 #include "analysis/timeline.hpp"
 #include "core/experiment.hpp"
+#include "hw/machine.hpp"
+#include "pfs/pfs.hpp"
+#include "sim/engine.hpp"
 
 namespace paraio::apps {
 namespace {
@@ -14,6 +19,20 @@ namespace {
 using analysis::OperationTable;
 using analysis::SizeTable;
 using pablo::Op;
+
+TEST(HtfConfig, RejectsNodeCountsTheMachineCannotHold) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(8, 2));
+  pfs::Pfs fs(machine);
+  for (const std::uint32_t nodes : {0u, 9u, 200u}) {
+    HtfConfig config;
+    config.nodes = nodes;
+    EXPECT_THROW(Htf(machine, fs, config), std::invalid_argument) << nodes;
+  }
+  HtfConfig config;
+  config.nodes = 8;
+  EXPECT_NO_THROW(Htf(machine, fs, config));
+}
 
 struct Phased {
   core::ExperimentResult r;

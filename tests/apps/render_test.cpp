@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "analysis/tables.hpp"
 #include "analysis/timeline.hpp"
 #include "core/experiment.hpp"
+#include "hw/machine.hpp"
+#include "pfs/pfs.hpp"
+#include "sim/engine.hpp"
 
 namespace paraio::apps {
 namespace {
@@ -13,6 +18,22 @@ namespace {
 using analysis::OperationTable;
 using analysis::SizeTable;
 using pablo::Op;
+
+// RENDER runs its renderers plus one gateway node right after them.
+TEST(RenderConfig, RejectsNodeCountsTheMachineCannotHold) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(9, 2));
+  pfs::Pfs fs(machine);
+  for (const std::uint32_t renderers : {0u, 9u, 200u}) {
+    RenderConfig config;
+    config.renderers = renderers;
+    EXPECT_THROW(Render(machine, fs, config), std::invalid_argument)
+        << renderers;
+  }
+  RenderConfig config;
+  config.renderers = 8;
+  EXPECT_NO_THROW(Render(machine, fs, config));
+}
 
 const core::ExperimentResult& result() {
   static const core::ExperimentResult r =

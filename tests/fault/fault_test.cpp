@@ -368,9 +368,9 @@ TEST(FaultInjection, AppliesAtExactTimeInQuietGapsAndAfterLastEvent) {
   EXPECT_FALSE(machine.ion_up(1));
   EXPECT_EQ(engine.now(), 25.0);
   ASSERT_EQ(tracer.instants().size(), 2u);
-  EXPECT_EQ(tracer.instants()[0].name, "disk-fail");
+  EXPECT_EQ(*tracer.instants()[0].name, "disk-fail");
   EXPECT_EQ(tracer.instants()[0].time, 3.0);
-  EXPECT_EQ(tracer.instants()[1].name, "ion-crash");
+  EXPECT_EQ(*tracer.instants()[1].name, "ion-crash");
   EXPECT_EQ(tracer.instants()[1].time, 25.0);
 }
 

@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -115,7 +116,8 @@ TEST(Registry, BindReadsThroughAndFreezeOutlivesTheOwner) {
   // (each snapshot records gauges, then counters).
   EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 3.0);
   EXPECT_NE(registry.dump_text().find("gauge g 3\n"), std::string::npos);
-  const auto& samples = registry.samples();
+  const auto view = registry.samples();
+  const std::vector<Registry::Sample> samples(view.begin(), view.end());
   ASSERT_EQ(samples.size(), 4u);  // t=2 and the final t=3, two series each
   EXPECT_EQ(*samples[2].name, "g");
   EXPECT_DOUBLE_EQ(samples[0].value, 1.0);  // as of the event before t=2
@@ -143,13 +145,15 @@ TEST(Sampler, SnapshotsAtPeriodBoundaries) {
 
   // Sample boundaries at t=2 and t=4 (values as of the event that crossed
   // them), plus the final snapshot when the run drains at t=5.
-  ASSERT_GE(registry.samples().size(), 3u);
-  for (const auto& s : registry.samples()) {
+  const auto view = registry.samples();
+  const std::vector<Registry::Sample> samples(view.begin(), view.end());
+  ASSERT_GE(samples.size(), 3u);
+  for (const auto& s : samples) {
     EXPECT_EQ(*s.name, "g");
   }
-  EXPECT_DOUBLE_EQ(registry.samples().front().time, 2.0);
-  EXPECT_DOUBLE_EQ(registry.samples().back().time, 5.0);
-  EXPECT_DOUBLE_EQ(registry.samples().back().value, 5.0);
+  EXPECT_DOUBLE_EQ(samples.front().time, 2.0);
+  EXPECT_DOUBLE_EQ(samples.back().time, 5.0);
+  EXPECT_DOUBLE_EQ(samples.back().value, 5.0);
 }
 
 // A period that never moves the next boundary forward would keep the first
@@ -203,6 +207,68 @@ TEST(Sampler, DetachesOnDestruction) {
   engine.call_in(1.0, [] {});
   engine.run();
   EXPECT_EQ(count.events + 1, engine.events_executed());
+}
+
+// Snapshots store only changed values, compared bit for bit, and the dump
+// rebuilds every snapshot in full: gauges, then counters, by name.
+TEST(Sampler, ChangeLogRebuildsEverySnapshot) {
+  sim::Engine engine;
+  Registry registry;
+  const double constant = 1.0;  // never changes
+  double ticking = 0.0;         // changes every period
+  // NaN compares unequal to itself, yet its bits never change.
+  const double nan_value = std::numeric_limits<double>::quiet_NaN();
+  double zero = 0.0;       // becomes -0.0, which compares equal to it
+  std::uint64_t late = 7;  // bound after the first snapshot
+  registry.bind("a.const", constant);
+  registry.bind("b.tick", ticking);
+  registry.bind("c.nan", nan_value);
+  registry.bind("d.zero", zero);
+  {
+    Sampler sampler(engine, registry, 1.0);
+    engine.call_at(0.5, [&] { ticking = 1.0; });
+    engine.call_at(1.5, [&] {
+      ticking = 2.0;
+      zero = -0.0;
+      registry.bind("e.late", late);
+    });
+    engine.call_at(2.5, [&] {
+      ticking = 3.0;
+      late = 8;
+    });
+    engine.run();  // snapshots at 1 and 2, plus the run end at 2.5
+  }
+  EXPECT_EQ(registry.dump_text(),
+            "# paraio metrics v1\n"
+            "counter e.late 8\n"
+            "gauge a.const 1\n"
+            "gauge b.tick 3\n"
+            "gauge c.nan nan\n"
+            "gauge d.zero -0\n"
+            "sample 1 a.const 1\n"
+            "sample 1 b.tick 1\n"
+            "sample 1 c.nan nan\n"
+            "sample 1 d.zero 0\n"
+            "sample 2 a.const 1\n"
+            "sample 2 b.tick 2\n"
+            "sample 2 c.nan nan\n"
+            "sample 2 d.zero -0\n"
+            "sample 2 e.late 7\n"
+            "sample 2.5 a.const 1\n"
+            "sample 2.5 b.tick 3\n"
+            "sample 2.5 c.nan nan\n"
+            "sample 2.5 d.zero -0\n"
+            "sample 2.5 e.late 8\n");
+  // 14 logical samples; stored: the four first values, then b, d and the
+  // new e at t=2, then b and e at t=2.5.
+  EXPECT_EQ(registry.samples().size(), 14u);
+  EXPECT_EQ(registry.stored_samples(), 9u);
+  std::size_t iterated = 0;
+  for (const Registry::Sample& s : registry.samples()) {
+    (void)s;
+    ++iterated;
+  }
+  EXPECT_EQ(iterated, 14u);
 }
 
 TEST(FormatDouble, StableRendering) {

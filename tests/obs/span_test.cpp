@@ -7,11 +7,13 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "double_corpus.hpp"
 #include "obs/chrome.hpp"
+#include "obs/chunked_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/text.hpp"
 #include "sim/engine.hpp"
@@ -46,7 +48,7 @@ TEST(Tracer, NestingAndParentLinks) {
   const auto& inner = tracer.spans()[1];
   const auto& remote = tracer.spans()[2];
 
-  EXPECT_EQ(outer.name, "outer");
+  EXPECT_EQ(*outer.name, "outer");
   EXPECT_EQ(outer.parent, 0u);
   EXPECT_DOUBLE_EQ(outer.start, 0.0);
   EXPECT_DOUBLE_EQ(outer.end, 4.0);
@@ -93,6 +95,80 @@ TEST(Tracer, CompleteRecordsClosedInterval) {
   ASSERT_EQ(tracer.spans().size(), 1u);
   EXPECT_TRUE(tracer.spans()[0].closed());
   EXPECT_DOUBLE_EQ(tracer.spans()[0].end, 5.0);
+}
+
+// A name is stored once per tracer: the same text, literal or built at run
+// time, always yields the same pointer.
+TEST(Tracer, InternsEachDistinctNameOnce) {
+  sim::Engine engine;
+  Tracer tracer;
+  tracer.bind(engine);
+  const Tracer::Name read = tracer.intern("pfs.read");
+  EXPECT_EQ(tracer.intern("pfs.read"), read);
+  EXPECT_EQ(*read, "pfs.read");
+  EXPECT_NE(tracer.intern("pfs.write"), read);
+  const std::size_t before = tracer.interned();
+
+  // Dynamic names (checkpoint epochs) are interned once per distinct text.
+  for (int round = 0; round < 3; ++round) {
+    for (int epoch = 1; epoch <= 4; ++epoch) {
+      tracer.complete({kGlobalProcess, 1}, "ckpt.epoch" + std::to_string(epoch),
+                      0.0, 1.0, "ckpt");
+    }
+  }
+  EXPECT_EQ(tracer.interned(), before + 5);  // four epochs and "ckpt"
+  EXPECT_EQ(tracer.spans()[0].name, tracer.spans()[4].name);
+  EXPECT_EQ(tracer.spans()[0].name, tracer.intern("ckpt.epoch1"));
+  EXPECT_EQ(tracer.spans()[0].category, tracer.intern("ckpt"));
+
+  // The handle and string forms of begin() and instant() record the same
+  // name.
+  const Tracer::Name fault = tracer.intern("fault");
+  tracer.end(tracer.begin({0, 0}, read, fault));
+  tracer.end(tracer.begin({0, 0}, "pfs.read", "fault"));
+  tracer.instant({0, 0}, read, fault);
+  tracer.instant({0, 0}, "pfs.read", "fault");
+  const std::size_t n = tracer.spans().size();
+  EXPECT_EQ(tracer.spans()[n - 1].name, read);
+  EXPECT_EQ(tracer.spans()[n - 2].name, read);
+  EXPECT_EQ(tracer.instants()[0].name, tracer.instants()[1].name);
+  EXPECT_EQ(tracer.instants()[0].category, fault);
+}
+
+// Spans live in fixed chunks that never move: a reference taken early
+// stays valid, and every record stays intact, across chunk boundaries.
+TEST(Tracer, SpanReferencesSurviveChunkBoundaries) {
+  constexpr std::size_t kSpans = 100'000;
+  static_assert(kSpans > 4 * ChunkedLog<Tracer::Span>::kPerChunk);
+  sim::Engine engine;
+  Tracer tracer;
+  tracer.bind(engine);
+  const Tracer::Name name = tracer.intern("span");
+  const Tracer::SpanId first = tracer.begin({0, 0}, name, name);
+  const Tracer::Span& first_ref = tracer.spans()[0];
+  std::vector<const Tracer::Span*> addresses;
+  for (std::size_t i = 1; i < kSpans; ++i) {
+    const Tracer::SpanId id =
+        tracer.begin_child({static_cast<std::uint32_t>(i), 1}, name, first,
+                           name);
+    addresses.push_back(&tracer.spans()[id - 1]);
+    if (i % 3 == 0) tracer.end(id);
+  }
+  tracer.end(first);
+  ASSERT_EQ(tracer.spans().size(), kSpans);
+  EXPECT_EQ(&tracer.spans()[0], &first_ref);
+  EXPECT_TRUE(first_ref.closed());
+  std::size_t i = 0;
+  for (const Tracer::Span& span : tracer.spans()) {
+    if (i > 0) {
+      ASSERT_EQ(&span, addresses[i - 1]) << i;
+      ASSERT_EQ(span.process, i) << i;
+      ASSERT_EQ(span.parent, first) << i;
+      ASSERT_EQ(span.closed(), i % 3 == 0) << i;
+    }
+    ++i;
+  }
+  EXPECT_EQ(i, kSpans);
 }
 
 TEST(ChromeTrace, EmitsMetadataCompleteAndCounterEvents) {

@@ -31,6 +31,22 @@ OpenOptions create_unix() {
   return o;
 }
 
+// A mount that could only stripe by a zero divisor is refused before any
+// file opens.
+TEST(Pfs, RejectsZeroStripeUnit) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 2));
+  PfsParams params;
+  params.stripe_unit = 0;
+  EXPECT_THROW(Pfs(machine, params), std::invalid_argument);
+}
+
+TEST(Pfs, RejectsMachineWithoutIoNodes) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 0));
+  EXPECT_THROW(Pfs{machine}, std::invalid_argument);
+}
+
 TEST(Pfs, CreateWriteReadRoundTrip) {
   Fixture fx;
   std::uint64_t read_back = 0;

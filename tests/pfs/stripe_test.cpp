@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 
 #include "sim/random.hpp"
@@ -16,6 +17,24 @@ StripeParams params(std::uint64_t unit, std::uint32_t ions) {
   p.unit = unit;
   p.io_nodes = ions;
   return p;
+}
+
+// Each bad field throws in every build type: a zero unit or I/O-node count
+// would otherwise divide by zero on the first decomposition.
+TEST(StripeMap, RejectsZeroUnit) {
+  EXPECT_THROW(StripeMap(params(0, 4)), std::invalid_argument);
+}
+
+TEST(StripeMap, RejectsZeroIoNodes) {
+  EXPECT_THROW(StripeMap(params(1024, 0)), std::invalid_argument);
+}
+
+TEST(StripeMap, RejectsFirstIonOutsideTheStripeSet) {
+  StripeParams p = params(1024, 4);
+  p.first_ion = 4;
+  EXPECT_THROW(StripeMap{p}, std::invalid_argument);
+  p.first_ion = 3;
+  EXPECT_NO_THROW(StripeMap{p});
 }
 
 TEST(StripeMap, IonRoundRobin) {

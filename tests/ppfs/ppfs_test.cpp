@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "hw/machine.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -27,6 +29,22 @@ OpenOptions create_unix() {
   o.mode = AccessMode::kUnix;
   o.create = true;
   return o;
+}
+
+// block_size is PPFS's stripe unit; a zero one, or a machine without I/O
+// nodes, is refused before any file opens.
+TEST(Ppfs, RejectsZeroBlockSize) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 2));
+  PpfsParams params;
+  params.block_size = 0;
+  EXPECT_THROW(Ppfs(machine, params), std::invalid_argument);
+}
+
+TEST(Ppfs, RejectsMachineWithoutIoNodes) {
+  sim::Engine engine;
+  hw::Machine machine(engine, hw::MachineConfig::paragon_xps(4, 0));
+  EXPECT_THROW(Ppfs{machine}, std::invalid_argument);
 }
 
 TEST(Ppfs, WriteReadRoundTripThroughBufferAndCache) {

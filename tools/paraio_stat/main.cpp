@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   std::map<std::string, std::pair<std::uint64_t, double>> by_name;
   for (const auto& span : tracer.spans()) {
     if (!span.closed()) continue;
-    auto& agg = by_name[span.name];
+    auto& agg = by_name[*span.name];
     agg.first += 1;
     agg.second += span.end - span.start;
   }
