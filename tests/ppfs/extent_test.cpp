@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/random.hpp"
 
 namespace paraio::ppfs {
@@ -155,6 +158,110 @@ TEST_P(ExtentFuzzProperty, MatchesBitmapModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentFuzzProperty,
                          ::testing::Values(1u, 2u, 3u, 42u, 1234u));
+
+// Property: every query agrees with a byte-set model after every insert.
+// The inserts are drawn to hit the merge cases: zero lengths, adjacency on
+// either side of an extent, spans that swallow several extents, and exact
+// duplicates.
+class ExtentModelProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ExtentModelProperty, QueriesMatchByteSetAfterEveryInsert) {
+  constexpr std::uint64_t kDomain = 1024;
+  sim::Rng rng(GetParam());
+  ExtentSet s;
+  std::vector<bool> bytes(kDomain, false);
+  // Maximal runs of set bytes: the extents the set must hold.
+  auto model_extents = [&bytes] {
+    std::vector<Extent> out;
+    for (std::uint64_t b = 0; b < bytes.size(); ++b) {
+      if (!bytes[b]) continue;
+      if (!out.empty() && out.back().end() == b) {
+        ++out.back().length;
+      } else {
+        out.push_back({b, 1});
+      }
+    }
+    return out;
+  };
+  auto model_covers = [&bytes](std::uint64_t off, std::uint64_t len) {
+    for (std::uint64_t b = off; b < off + len; ++b) {
+      if (!bytes[b]) return false;
+    }
+    return true;
+  };
+  auto model_overlaps = [&bytes](std::uint64_t off, std::uint64_t len) {
+    for (std::uint64_t b = off; b < off + len; ++b) {
+      if (bytes[b]) return true;
+    }
+    return false;
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    const std::vector<Extent> before = model_extents();
+    std::uint64_t off = rng.uniform_int(0, kDomain - 65);
+    std::uint64_t len = rng.uniform_int(0, 64);
+    if (!before.empty()) {
+      const Extent& e = before[rng.uniform_int(0, before.size() - 1)];
+      switch (rng.uniform_int(0, 4)) {
+        case 0:  // adjacent after
+          off = e.end();
+          len = std::min(len, kDomain - off);
+          break;
+        case 1:  // adjacent before
+          len = std::min(len, e.offset);
+          off = e.offset - len;
+          break;
+        case 2: {  // swallow e and every extent up to a later one
+          const Extent& last = before[rng.uniform_int(
+              static_cast<std::uint64_t>(&e - before.data()),
+              before.size() - 1)];
+          off = e.offset - std::min<std::uint64_t>(e.offset, len % 3);
+          len = std::min(last.end() + len % 3, kDomain) - off;
+          break;
+        }
+        case 3:  // exact duplicate
+          off = e.offset;
+          len = e.length;
+          break;
+        default:  // anywhere, zero length included
+          break;
+      }
+    }
+    s.insert(off, len);
+    for (std::uint64_t b = off; b < off + len; ++b) bytes[b] = true;
+
+    const std::vector<Extent> want = model_extents();
+    std::uint64_t total = 0;
+    for (const Extent& e : want) total += e.length;
+    ASSERT_EQ(s.extents(), want) << "step " << step;
+    ASSERT_EQ(s.count(), want.size());
+    ASSERT_EQ(s.empty(), want.empty());
+    ASSERT_EQ(s.total_bytes(), total);
+    ASSERT_EQ(s.max_end(), want.empty() ? std::uint64_t{0} : want.back().end());
+    for (int q = 0; q < 16; ++q) {
+      const std::uint64_t qoff = rng.uniform_int(0, kDomain - 33);
+      const std::uint64_t qlen = rng.uniform_int(0, 32);
+      ASSERT_EQ(s.overlaps(qoff, qlen), model_overlaps(qoff, qlen))
+          << "step " << step << " overlaps(" << qoff << ", " << qlen << ")";
+      ASSERT_EQ(s.covers(qoff, qlen), model_covers(qoff, qlen))
+          << "step " << step << " covers(" << qoff << ", " << qlen << ")";
+    }
+    // Queries on the extent boundaries themselves, where off-by-ones live.
+    for (const Extent& e : want) {
+      ASSERT_TRUE(s.covers(e.offset, e.length));
+      ASSERT_FALSE(s.covers(e.offset, e.length + 1));
+      ASSERT_FALSE(s.overlaps(e.end(), 1));
+      ASSERT_TRUE(s.overlaps(e.end() - 1, 1));
+      if (e.offset > 0) {
+        ASSERT_FALSE(s.covers(e.offset - 1, 1));
+        ASSERT_FALSE(s.overlaps(e.offset - 1, 1));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExtentModelProperty,
+                         ::testing::Values(1u, 7u, 99u, 2024u));
 
 }  // namespace
 }  // namespace paraio::ppfs
