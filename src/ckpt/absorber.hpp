@@ -27,6 +27,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <utility>
 
 #include "ckpt/log.hpp"
 #include "obs/metrics.hpp"
@@ -83,6 +84,11 @@ class WriteAbsorber {
 
   [[nodiscard]] const AbsorberStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const LogImage& log() const noexcept { return log_; }
+  /// Moves the log out, leaving log() empty.  Call once the engine has
+  /// stopped: an append or commit after it starts a fresh image.
+  [[nodiscard]] LogImage take_log() noexcept {
+    return std::exchange(log_, LogImage(params_.segment_bytes));
+  }
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept {
     return stats_.log_resident_bytes;
   }

@@ -155,7 +155,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   if (absorber) {
     result.absorber = absorber->stats();
-    result.ckpt_log = std::make_shared<ckpt::LogImage>(absorber->log());
+    result.ckpt_log =
+        std::make_shared<const ckpt::LogImage>(absorber->take_log());
   }
   if (pfs_fs) result.pfs_counters = pfs_fs->counters();
   if (ppfs_fs) {

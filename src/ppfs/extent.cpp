@@ -4,58 +4,51 @@
 
 namespace paraio::ppfs {
 
+std::vector<Extent>::const_iterator ExtentSet::first_ending_at_or_after(
+    std::uint64_t at) const {
+  // Extents are disjoint and sorted, so their ends ascend too.
+  return std::partition_point(
+      extents_.begin(), extents_.end(),
+      [at](const Extent& e) { return e.end() < at; });
+}
+
 void ExtentSet::insert(std::uint64_t offset, std::uint64_t length) {
   if (length == 0) return;
-  std::uint64_t lo = offset;
-  std::uint64_t hi = offset + length;
-
-  // Find the first extent that could touch [lo, hi): the one before lo, if
-  // it reaches lo, else the first starting at/after lo.
-  auto it = extents_.lower_bound(lo);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second >= lo) it = prev;
+  const std::uint64_t hi = offset + length;
+  // [first, last) is every extent overlapping or adjacent to [offset, hi).
+  const auto first = extents_.begin() +
+                     (first_ending_at_or_after(offset) - extents_.cbegin());
+  auto last = first;
+  while (last != extents_.end() && last->offset <= hi) ++last;
+  if (first == last) {
+    extents_.insert(first, Extent{offset, length});
+    bytes_ += length;
+    return;
   }
-  // Absorb every overlapping-or-adjacent extent.
-  while (it != extents_.end() && it->first <= hi) {
-    lo = std::min(lo, it->first);
-    hi = std::max(hi, it->first + it->second);
-    bytes_ -= it->second;
-    it = extents_.erase(it);
-  }
-  extents_.emplace(lo, hi - lo);
-  bytes_ += hi - lo;
+  // Merge into the first touched extent and drop the rest.
+  const std::uint64_t lo = std::min(offset, first->offset);
+  const std::uint64_t end = std::max(hi, std::prev(last)->end());
+  for (auto it = first; it != last; ++it) bytes_ -= it->length;
+  *first = Extent{lo, end - lo};
+  bytes_ += end - lo;
+  extents_.erase(first + 1, last);
 }
 
 bool ExtentSet::overlaps(std::uint64_t offset, std::uint64_t length) const {
   if (length == 0) return false;
-  auto it = extents_.upper_bound(offset + length - 1);
-  if (it == extents_.begin()) return false;
-  --it;
-  return it->first + it->second > offset;
+  const auto it = first_ending_at_or_after(offset + 1);
+  return it != extents_.end() && it->offset < offset + length;
 }
 
 bool ExtentSet::covers(std::uint64_t offset, std::uint64_t length) const {
   if (length == 0) return true;
-  auto it = extents_.upper_bound(offset);
-  if (it == extents_.begin()) return false;
-  --it;
-  return it->first <= offset && it->first + it->second >= offset + length;
+  const auto it = first_ending_at_or_after(offset + 1);
+  return it != extents_.end() && it->offset <= offset &&
+         it->end() >= offset + length;
 }
 
 std::uint64_t ExtentSet::max_end() const {
-  if (extents_.empty()) return 0;
-  auto last = std::prev(extents_.end());
-  return last->first + last->second;
-}
-
-std::vector<Extent> ExtentSet::extents() const {
-  std::vector<Extent> out;
-  out.reserve(extents_.size());
-  for (const auto& [offset, length] : extents_) {
-    out.push_back(Extent{offset, length});
-  }
-  return out;
+  return extents_.empty() ? 0 : extents_.back().end();
 }
 
 }  // namespace paraio::ppfs

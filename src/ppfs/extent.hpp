@@ -5,10 +5,13 @@
 // (ESCAT's 2 KB quadrature records) collapses into a handful of large
 // extents before anything reaches an I/O node — the client half of the
 // paper's §5.2 "write behind + request aggregation" result.
+//
+// The extents live in one sorted vector: a buffer holds a handful of them
+// (one per flush on ESCAT), a coalescing insert merges in place, and clear()
+// keeps the capacity, so a write-behind buffer allocates nothing once warm.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace paraio::ppfs {
@@ -38,16 +41,34 @@ class ExtentSet {
   /// Largest end offset present (0 when empty).
   [[nodiscard]] std::uint64_t max_end() const;
 
-  /// Extents in offset order.
-  [[nodiscard]] std::vector<Extent> extents() const;
+  /// Extents in offset order: disjoint and non-adjacent.
+  [[nodiscard]] const std::vector<Extent>& extents() const noexcept {
+    return extents_;
+  }
 
-  void clear() {
+  /// Empties the set, keeping its storage.
+  void clear() noexcept {
     extents_.clear();
     bytes_ = 0;
   }
 
+  /// Moves the extents out and leaves the set empty, holding `spare`'s
+  /// storage instead (cleared): a flush ships the extents without copying
+  /// them, and hands the vector back as the next flush's spare.
+  [[nodiscard]] std::vector<Extent> take(std::vector<Extent> spare) noexcept {
+    spare.clear();
+    extents_.swap(spare);
+    bytes_ = 0;
+    return spare;
+  }
+
  private:
-  std::map<std::uint64_t, std::uint64_t> extents_;  // offset -> length
+  /// First extent whose end is at or past `at`: the first that could
+  /// touch (or, with `at` itself, abut) a range starting at `at`.
+  [[nodiscard]] std::vector<Extent>::const_iterator first_ending_at_or_after(
+      std::uint64_t at) const;
+
+  std::vector<Extent> extents_;  // sorted by offset
   std::uint64_t bytes_ = 0;
 };
 

@@ -281,8 +281,9 @@ sim::Task<> Ppfs::flush_buffer(io::NodeId node,
   detail::WriteBuffer& buf = buffer(node, file.id);
   if (buf.extents.empty()) co_return;
   counters_.flush_bytes.record(buf.buffered_bytes());
-  auto extents = buf.extents.extents();
-  buf.extents.clear();
+  // Writes landing during the flush buffer anew; a concurrent flush of the
+  // same buffer finds no spare and allocates its own.
+  std::vector<Extent> extents = buf.extents.take(std::move(buf.spare));
   ++counters_.flushes;
   counters_.flush_extents += extents.size();
   counters_.flush_extent_counts.record(extents.size());
@@ -300,6 +301,7 @@ sim::Task<> Ppfs::flush_buffer(io::NodeId node,
   }
   co_await group.join();
   if (tracer_ != nullptr) tracer_->end(span);
+  buf.spare = std::move(extents);
 }
 
 sim::Task<io::FilePtr> Ppfs::open(io::NodeId node, const std::string& path,

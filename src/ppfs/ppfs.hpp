@@ -133,6 +133,8 @@ struct PpfsFileObject {
 /// Per-(node, file) write-behind buffer.
 struct WriteBuffer {
   ExtentSet extents;
+  /// Storage for the next flush's extents, handed back after each flush.
+  std::vector<Extent> spare;
   std::uint64_t buffered_bytes() const { return extents.total_bytes(); }
 };
 

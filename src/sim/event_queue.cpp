@@ -124,7 +124,7 @@ void EventQueue::route(const Entry& e) {
   // would: one-entry bottom, threshold raised to nextafter(when).  Guarded
   // on the containers (not live_) because a drained rung may linger until
   // the next refill reaches it.
-  if (rungs_.empty() && top_.empty() && bottom_.empty()) {
+  if (depth_ == 0 && top_.empty() && bottom_.empty()) {
     bottom_.push_back(e);
     bottom_head_ = 0;
     bottom_threshold_ = std::max(bottom_threshold_,
@@ -132,7 +132,7 @@ void EventQueue::route(const Entry& e) {
     return;
   }
   // Innermost (earliest window) first; route_ends ascend outwards.
-  for (std::size_t i = rungs_.size(); i-- > 0;) {
+  for (std::size_t i = depth_; i-- > 0;) {
     if (e.when < rungs_[i].route_end) {
       place_in_rung(rungs_[i], e);
       return;
@@ -164,7 +164,7 @@ void EventQueue::insert_bottom(const Entry& e) {
 }
 
 void EventQueue::place_in_rung(Rung& r, const Entry& e) {
-  const std::size_t n = r.buckets.size();
+  const std::size_t n = r.n;
   const SimTime off = (e.when - r.start) / r.width;
   std::size_t idx = 0;
   if (off > 0.0) {
@@ -180,7 +180,12 @@ void EventQueue::place_in_rung(Rung& r, const Entry& e) {
   // the per-bucket sort at drain time restores exact order.
   if (idx < r.cur) idx = r.cur;
   assert(idx < n);
-  r.buckets[idx].push_back(e);
+  std::vector<Entry>& bucket = r.buckets[idx];
+  if (bucket.capacity() == 0 && !free_buckets_.empty()) {
+    bucket.swap(free_buckets_.back());
+    free_buckets_.pop_back();
+  }
+  bucket.push_back(e);
 }
 
 void EventQueue::maybe_spill_bottom() {
@@ -202,9 +207,11 @@ void EventQueue::maybe_spill_bottom() {
   const auto cut = static_cast<std::size_t>(cut_it - bottom_.begin());
   const SimTime new_threshold =
       std::nextafter(bottom_[cut - 1].when, kTimeInfinity);
-  std::vector<Entry> spilled(
-      bottom_.begin() + static_cast<std::ptrdiff_t>(cut), bottom_.end());
-  if (!build_rung(spilled, new_threshold, bottom_threshold_)) return;
+  scratch_.assign(bottom_.begin() + static_cast<std::ptrdiff_t>(cut),
+                  bottom_.end());
+  const bool built = build_rung(scratch_, new_threshold, bottom_threshold_);
+  scratch_.clear();
+  if (!built) return;
   bottom_.resize(cut);
   bottom_threshold_ = new_threshold;
 }
@@ -216,8 +223,8 @@ void EventQueue::refill() {
   bottom_.clear();  // reset the consumed bottom
   bottom_head_ = 0;
   while (bottom_empty() && live_ > 0) {
-    assert(!rungs_.empty() || !top_.empty());
-    if (!rungs_.empty()) {
+    assert(depth_ > 0 || !top_.empty());
+    if (depth_ > 0) {
       refill_from_rung();
     } else {
       refill_from_top();
@@ -226,17 +233,19 @@ void EventQueue::refill() {
 }
 
 void EventQueue::refill_from_rung() {
-  Rung& r = rungs_.back();
-  const std::size_t n = r.buckets.size();
+  Rung& r = rungs_[depth_ - 1];
+  const std::size_t n = r.n;
   while (r.cur < n && r.buckets[r.cur].empty()) ++r.cur;
   if (r.cur == n) {
     bottom_threshold_ = std::max(bottom_threshold_, r.route_end);
-    rungs_.pop_back();
+    --depth_;
     return;
   }
   const std::size_t j = r.cur;
-  std::vector<Entry> bucket = std::move(r.buckets[j]);
-  r.buckets[j] = {};
+  // The bucket's storage leaves the rung for the free list; its entries are
+  // copied out of it first.
+  free_buckets_.emplace_back().swap(r.buckets[j]);
+  const std::vector<Entry>& bucket = free_buckets_.back();
   ++r.cur;
   // Everything remaining in this rung (and all outer structures) is at or
   // beyond drain_end; everything in `bucket` is strictly below it.
@@ -251,18 +260,28 @@ void EventQueue::refill_from_rung() {
   // child's bucket 0 — placement clamps, and the drain-time sort orders
   // them).  build_rung rejects the window once FP can no longer split it.
   const SimTime child_start = std::max(bottom_threshold_, r.boundary(j));
-  if (r.cur == n) rungs_.pop_back();  // exhausted; r dangles past this point
+  const bool exhausted = r.cur == n;
   const bool try_spawn = bucket.size() > kSpawnThreshold &&
-                         rungs_.size() < kMaxRungs && !all_same_when(bucket);
-  if (!try_spawn || !build_rung(bucket, child_start, drain_end)) {
-    sort_into_bottom(std::move(bucket), drain_end);
+                         depth_ - (exhausted ? 1 : 0) < kMaxRungs &&
+                         !all_same_when(bucket);
+  if (exhausted) --depth_;
+  if (!try_spawn) {
+    sort_into_bottom(bucket, drain_end);
+    free_buckets_.back().clear();
+    return;
   }
+  // The child's buckets draw on the free list, so the entries leave the
+  // freed storage before they are placed.
+  scratch_.assign(bucket.begin(), bucket.end());
+  free_buckets_.back().clear();
+  if (!build_rung(scratch_, child_start, drain_end)) {
+    sort_into_bottom(scratch_, drain_end);
+  }
+  scratch_.clear();
 }
 
 void EventQueue::refill_from_top() {
   assert(!top_.empty());
-  std::vector<Entry> entries = std::move(top_);
-  top_ = {};
   const SimTime tmin = top_min_;
   const SimTime tmax = top_max_;
   top_min_ = kTimeInfinity;
@@ -270,14 +289,15 @@ void EventQueue::refill_from_top() {
   // nextafter makes the bound exclusive of nothing: future arrivals at
   // exactly tmax still sort into bottom next to the events already there.
   const SimTime threshold = std::nextafter(tmax, kTimeInfinity);
-  if (entries.size() <= kDirectSortLimit ||
-      !build_rung(entries, tmin, threshold)) {
-    sort_into_bottom(std::move(entries), threshold);
+  // Neither path routes into top_, so it is read in place.
+  if (top_.size() <= kDirectSortLimit || !build_rung(top_, tmin, threshold)) {
+    sort_into_bottom(top_, threshold);
   }
+  top_.clear();
 }
 
-bool EventQueue::build_rung(std::vector<Entry> &entries, SimTime start,
-                            SimTime route_end) {
+bool EventQueue::build_rung(const std::vector<Entry>& entries,
+                            SimTime start, SimTime route_end) {
   const std::size_t n = std::min(entries.size(), kMaxBuckets);
   if (n < 2) return false;
   const SimTime span = route_end - start;
@@ -287,23 +307,23 @@ bool EventQueue::build_rung(std::vector<Entry> &entries, SimTime start,
   // of `start` — the boundary expression could not separate buckets, and the
   // fallback (a plain sort) is both correct and cheaper.
   if (!(width > 0.0) || !(start + width > start)) return false;
-  Rung r;
+  if (depth_ == rungs_.size()) rungs_.emplace_back();
+  Rung& r = rungs_[depth_++];
   r.start = start;
   r.width = width;
   r.route_end = route_end;
-  r.buckets.resize(n);
-  rungs_.push_back(std::move(r));
-  Rung& back = rungs_.back();
-  for (const Entry& e : entries) place_in_rung(back, e);
-  entries.clear();
+  r.n = n;
+  r.cur = 0;
+  if (r.buckets.size() < n) r.buckets.resize(n);
+  for (const Entry& e : entries) place_in_rung(r, e);
   return true;
 }
 
-void EventQueue::sort_into_bottom(std::vector<Entry> entries,
+void EventQueue::sort_into_bottom(const std::vector<Entry>& entries,
                                   SimTime new_threshold) {
   assert(bottom_empty());
-  std::sort(entries.begin(), entries.end(), earlier);
-  bottom_ = std::move(entries);
+  bottom_.assign(entries.begin(), entries.end());
+  std::sort(bottom_.begin(), bottom_.end(), earlier);
   bottom_head_ = 0;
   // max(): a stale higher threshold is still safe — every event outside
   // bottom is at or beyond it — and routes more arrivals onto the sorted

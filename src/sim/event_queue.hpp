@@ -38,6 +38,14 @@
 //   top      unsorted catch-all for far-future events, bulk-converted into a
 //            rung (or directly into bottom when small) when reached.
 //
+// Storage is recycled, as the ladder queue's O(1) amortized bound assumes:
+// entries are copied between structures and each source is clear()ed, so
+// bottom and top keep their capacity; a drained bucket's storage goes to a
+// free list that the next empty bucket to receive an entry draws from; and
+// a retired rung stays in rungs_ (past depth_) with its bucket array for
+// the next rung built at that depth.  Once warm, a steady schedule/pop
+// stream allocates nothing, however far ahead its events are pending.
+//
 // Bucket placement uses exact boundary arithmetic (the same floating-point
 // expression for routing, placement, and drain thresholds) so same-instant
 // events can never be split across structures or mis-ordered relative to the
@@ -143,15 +151,18 @@ class EventQueue {
     std::uint32_t next_free = kNoSlot;
   };
 
-  /// One ladder rung: `buckets.size()` equal-width buckets starting at
-  /// `start`.  `route_end` is the exclusive upper routing bound — every
-  /// entry stored in (or newly routed to) this rung has when < route_end,
-  /// and every entry in outer structures has when >= route_end.
+  /// One ladder rung: `n` equal-width buckets starting at `start`.
+  /// `route_end` is the exclusive upper routing bound — every entry stored
+  /// in (or newly routed to) this rung has when < route_end, and every
+  /// entry in outer structures has when >= route_end.
   struct Rung {
-    SimTime start;
-    SimTime width;
-    SimTime route_end;
+    SimTime start = 0.0;
+    SimTime width = 0.0;
+    SimTime route_end = 0.0;
+    std::size_t n = 0;    // buckets in use: the first n of `buckets`
     std::size_t cur = 0;  // next bucket to drain
+    /// At least n buckets; every bucket outside [cur, n) is empty and
+    /// holds no storage, so a retired rung's array is ready for reuse.
     std::vector<std::vector<Entry>> buckets;
 
     /// The exact boundary expression.  Placement, routing, and the bottom
@@ -198,15 +209,16 @@ class EventQueue {
   void refill_from_rung();
   void refill_from_top();
 
-  /// Builds a rung over [start, route_end) and distributes `entries` into
-  /// it (consuming them).  Returns false — leaving `entries` untouched —
-  /// when the window is degenerate (zero/absorbed width), in which case the
-  /// caller must fall back to sorting the entries directly.
-  bool build_rung(std::vector<Entry>& entries, SimTime start,
+  /// Builds a rung over [start, route_end) and distributes a copy of
+  /// `entries` into it.  Returns false when the window is degenerate
+  /// (zero/absorbed width), in which case the caller must fall back to
+  /// sorting the entries directly.
+  bool build_rung(const std::vector<Entry>& entries, SimTime start,
                   SimTime route_end);
 
-  /// Sorts `entries` (ascending) and makes them the new bottom.
-  void sort_into_bottom(std::vector<Entry> entries, SimTime new_threshold);
+  /// Copies `entries` into bottom, sorted ascending.
+  void sort_into_bottom(const std::vector<Entry>& entries,
+                        SimTime new_threshold);
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   static constexpr std::size_t kDirectSortLimit = 64;   // top -> bottom as-is
@@ -221,8 +233,14 @@ class EventQueue {
   /// Events with when < bottom_threshold_ are sorted into bottom_ on
   /// arrival; everything at or above it belongs to the rungs/top.
   SimTime bottom_threshold_ = -kTimeInfinity;
-  std::vector<Rung> rungs_;    // [0] outermost; back() is drained first
+  /// [0, depth_) are live, [0] outermost, [depth_ - 1] drained first;
+  /// the rest are retired rungs kept for their bucket arrays.
+  std::vector<Rung> rungs_;
+  std::size_t depth_ = 0;
   std::vector<Entry> top_;     // unsorted far-future events
+  std::vector<Entry> scratch_;  // entries between structures, kept empty
+  /// Storage of drained buckets, emptied, for buckets yet to be filled.
+  std::vector<std::vector<Entry>> free_buckets_;
   SimTime top_min_ = kTimeInfinity;
   SimTime top_max_ = -kTimeInfinity;
 
